@@ -301,6 +301,10 @@ def measure(args, workload, own_setup):
         if r.verdict.failed or (r.verdict.mismatch and not r.verdict.known):
             lines.append(f"  problem: {r.params}: {r.verdict.detail.strip()}")
             break
+    for r in every:
+        if r.verdict.mismatch and r.verdict.known:
+            lines.append(f"  known defect: {r.params}: {r.verdict.detail}")
+            break
     lines.append("env " + json.dumps(environment(args.seed), sort_keys=True))
     print("\n".join(lines))
     print(json.dumps({"correct": failed == 0 and mismatched == known,

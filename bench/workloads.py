@@ -8,8 +8,8 @@ Every op is checked after its timer stops.  ``failed`` means the op raised,
 exited nonzero or broke the workload's physics check; ``mismatch`` means an
 output it wrote (or returned) disagrees with the benchmark's own
 recomputation from public library functions.  ``known`` marks a mismatch
-that equals the documented baseline defect exactly (see NOTES.md); any other
-mismatch makes the run incorrect.
+that matches one of the two documented baseline defects exactly (see
+NOTES.md); any other mismatch makes the run incorrect.
 """
 
 from __future__ import annotations
@@ -369,6 +369,11 @@ class NumericOracle(Workload):
         system, closed, numeric = output
         v = Verdict()
         if not abs(closed.energy - numeric.energy) <= 1e-6:
+            if _oracle_stopped_short(system, closed, numeric):
+                v.mismatch = v.known = True
+                v.detail = ("oracle stopped short on the infinite-radius "
+                            "branch (known defect)")
+                return v
             v.failed, v.detail = True, "closed form and oracle disagree"
         again = variational.reduced_energy(system, numeric.matter)
         if not abs(again - numeric.energy) <= 1e-12:
@@ -379,6 +384,33 @@ class NumericOracle(Workload):
         for name in CONFIGS:
             system = CONFIGS[name]([1.0] * LEVEL_PAIRS[name])
             variational.minimize_numeric(system, starts=2, seed=0)
+
+
+ORACLE_RHO_CAP = 1e4    # minimize_numeric's default rho_cap
+
+
+def _oracle_stopped_short(system: AtomicSystem, closed, numeric) -> bool:
+    """The second baseline defect, and nothing else (see NOTES.md).
+
+    The closed-form minimum is the infinite-radius branch of levels (j, k);
+    the oracle went out along that branch and stopped above the closed form;
+    and the point of the closed form's own ray at the oracle's cap, which
+    lies inside the oracle's search box, comes within 1e-6 of the closed
+    form.  So the closed form is confirmed from the reduced surface, and the
+    oracle missed a point it could reach.  An oracle below the closed form,
+    or off the branch, stays a failure.
+    """
+    if closed.kind != variational.KIND_HIGH or numeric.energy < closed.energy:
+        return False
+    j, k = closed.pair
+    rho = numeric.matter.rho
+    if min(rho[j], rho[k]) < 10.0 or any(
+            r > 1.0 for level, r in rho.items() if level not in (j, k)):
+        return False
+    ray = np.zeros(system.n - 1)
+    ray[j - 2], ray[k - 2] = ORACLE_RHO_CAP, ORACLE_RHO_CAP * closed.matter_amp
+    at_cap = variational.reduced_energy(system, ray)
+    return abs(at_cap - closed.energy) <= 1e-6 and at_cap < numeric.energy
 
 
 WORKLOADS = {w.name: w for w in
