@@ -26,6 +26,7 @@ from .variational import (
     StateRecipe,
     VariationalCandidate,
     candidates,
+    condensate,
     energy_surface_full,
     gradient,
     minimize,

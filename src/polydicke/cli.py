@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__, observables, phasemap, quantum, variational
+from . import __version__, observables, phasemap, quantum, symmetries, variational
 from .model import AtomicSystem, InvalidSystemError, Pair, require_valid, validate
 
 
@@ -250,8 +250,6 @@ def cmd_phase_diagram(args) -> int:
 def _observable_rows(system: AtomicSystem, sweep_name: str,
                      sweep_values: Sequence[float], couplings_at,
                      rwa: bool = False) -> Tuple[List[str], List[List[str]]]:
-    from .symmetries import rwa_rescale
-
     pairs = sorted(p for p in couplings_at(sweep_values[0])
                    if f"mu_{p[0]}_{p[1]}" != sweep_name)
     header = ([sweep_name] + [f"mu_{j}_{k}" for j, k in pairs]
@@ -262,7 +260,7 @@ def _observable_rows(system: AtomicSystem, sweep_name: str,
         mu = couplings_at(value)
         local = system.with_couplings(mu)
         if rwa:
-            local = rwa_rescale(local)
+            local = symmetries.rwa_rescale(local)
         best = variational.minimize(local)
         obs = observables.expectations(local, best)
         marker = 0
@@ -382,6 +380,8 @@ def cmd_compare(args) -> int:
     for index, mu in _grid_points(axes, args.res):
         couplings = mu or {t.pair: t.mu for t in system.transitions}
         local = system.with_couplings(couplings)
+        if args.rwa:
+            local = symmetries.rwa_rescale(local)
         best = variational.minimize(local)
         result = _exact_at(system, couplings, args, cutoffs)
         gap = best.energy - result.energy

@@ -9,6 +9,7 @@ unit.  Level indices are 1-based on every interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Tuple
 
@@ -147,6 +148,8 @@ def validate(system: AtomicSystem) -> ValidationReport:
         bad.append(
             f"omega has {len(system.omega)} entries for n={system.n} levels"
         )
+    elif not all(math.isfinite(w) for w in system.omega):
+        bad.append("level energies must be finite")
     else:
         if system.omega[0] != 0.0:
             bad.append("level 1 energy must be 0 (energies measured from it)")
@@ -161,10 +164,10 @@ def validate(system: AtomicSystem) -> ValidationReport:
         if not (1 <= t.j < t.k <= system.n):
             bad.append(f"{tag}: level indices must satisfy 1 <= j < k <= n")
             continue
-        if t.Omega <= 0:
-            bad.append(f"{tag}: mode frequency must be positive")
-        if t.mu < 0:
-            bad.append(f"{tag}: dipolar strength must be nonnegative")
+        if not 0.0 < t.Omega < math.inf:
+            bad.append(f"{tag}: mode frequency must be positive and finite")
+        if not 0.0 <= t.mu < math.inf:
+            bad.append(f"{tag}: dipolar strength must be nonnegative and finite")
         if t.pair in seen:
             bad.append(f"{tag}: pair served by two modes")
         seen.add(t.pair)

@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .model import AtomicSystem, Pair, require_valid
-from .variational import KIND_NORMAL, VariationalCandidate
+from .variational import KIND_NORMAL, VariationalCandidate, condensate
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def expectations(system: AtomicSystem,
         pop[0] = 1.0
     else:
         t = system.transition(candidate.pair)
-        b_over_a = ((system.omega[t.k - 1] - system.omega[t.j - 1]) * t.Omega
-                    / (4.0 * t.mu * t.mu))
+        b_over_a = float(condensate(system, candidate.pair).b_over_a)
         spread = 1.0 - b_over_a * b_over_a
         p_low = 0.5 * (1.0 + b_over_a)
         pop[t.j - 1] = p_low

@@ -72,17 +72,6 @@ def normal_boundary(system: AtomicSystem, pair: Pair) -> float:
     )
 
 
-def _candidate_energy(system: AtomicSystem, pair: Pair, mu: float) -> Optional[float]:
-    """Closed-form condensate energy for `pair` at coupling mu, or None."""
-    t = system.transition(pair)
-    dw = system.omega[t.k - 1] - system.omega[t.j - 1]
-    a = 4.0 * mu * mu
-    b = dw * t.Omega
-    if mu <= 0.0 or a < b:
-        return None
-    return system.omega[t.j - 1] - (a - b) ** 2 / (16.0 * t.Omega * mu * mu)
-
-
 def _zeta_boundary(system: AtomicSystem, pair_solve: Pair, pair_other: Pair,
                    mu_other: float) -> Tuple[Optional[float], Optional[float]]:
     """Algebraic collective-collective boundary: candidate mu values (+/-)."""
@@ -184,31 +173,25 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
     lo, hi = sweep.solve_range
     points: List[Tuple[float, float]] = []
     worst_zeta = None
-    for mu_b in sweep.fixed_values:
-        target = _candidate_energy(system, pair_b, float(mu_b))
-        if target is None:
+    grid = np.linspace(lo, hi, sweep.scan_points)
+    scan = variational.condensate(system, pair_a, grid).energy
+    targets = variational.condensate(system, pair_b, sweep.fixed_values).energy
+    for mu_b, target in zip(sweep.fixed_values, targets.tolist()):
+        if not math.isfinite(target):
             continue
-
-        def diff(mu_a: float) -> Optional[float]:
-            ea = _candidate_energy(system, pair_a, mu_a)
-            return None if ea is None else ea - target
-
-        grid = np.linspace(lo, hi, sweep.scan_points)
-        vals = [diff(m) for m in grid]
-        root = None
-        for i in range(len(grid) - 1):
-            va, vb = vals[i], vals[i + 1]
-            if va is None or vb is None:
-                continue
-            if va == 0.0:
-                root = float(grid[i])
-                break
-            if (va < 0.0) != (vb < 0.0):
-                root = _bisect(lambda m: diff(m), float(grid[i]),
-                               float(grid[i + 1]), sweep.tol)
-                break
-        if root is None:
+        vals = scan - target
+        # first scan cell whose ends both exist and bracket (or hit) the root
+        hit = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (
+            (vals[:-1] == 0.0) | ((vals[:-1] < 0.0) != (vals[1:] < 0.0)))
+        if not hit.any():
             continue
+        i = int(np.argmax(hit))
+
+        def diff(mu_a: float) -> float:
+            return float(variational.condensate(system, pair_a, mu_a).energy) - target
+
+        root = (float(grid[i]) if vals[i] == 0.0 else
+                _bisect(diff, float(grid[i]), float(grid[i + 1]), sweep.tol))
         points.append((root, float(mu_b)))
         # per point, the matching algebraic root is the closer sign branch
         # (the other one lies outside the collective regime); record the
@@ -336,36 +319,38 @@ def scan_grid(system: AtomicSystem,
     """Classify every grid cell by its variational ground-state region.
 
     axes lists up to three (pair, (lo, hi)) entries; resolution is shared or
-    per-axis.  Each cell is an independent minimize call on the system with
-    that cell's couplings (halved first when rwa is set), so the result does
-    not depend on evaluation order.
+    per-axis.  Each cell holds the minimum of the candidate energies
+    (normal, then the condensates in pair order, the first minimum winning
+    as in :func:`variational.minimize`), evaluated as arrays over the whole
+    grid with every coupling halved when rwa is set.
     """
-    require_valid(system)
     if not 1 <= len(axes) <= 3:
         raise ValueError("between 1 and 3 varying couplings are supported")
-    pairs = []
-    for p, _ in axes:
-        system.transition(p)
-        pairs.append(tuple(p))
-    if isinstance(resolution, int):
-        res = (resolution,) * len(axes)
-    else:
-        res = tuple(resolution)
+    pairs = [tuple(p) for p, _ in axes]
+    res = ((resolution,) * len(axes) if isinstance(resolution, int)
+           else tuple(resolution))
     if len(res) != len(axes) or any(r < 1 for r in res):
         raise ValueError(f"bad resolution {resolution!r} for {len(axes)} axes")
     values = tuple(
         tuple(float(v) for v in np.linspace(lo, hi, r))
         for (_, (lo, hi)), r in zip(axes, res)
     )
-    labels = np.empty(res, dtype=object)
-    energies = np.empty(res, dtype=float)
-    for index in np.ndindex(*res):
-        mu = {p: values[m][index[m]] for m, p in enumerate(pairs)}
-        cell_system = system.with_couplings(mu)
-        if rwa:
-            cell_system = rwa_rescale(cell_system)
-        best = variational.minimize(cell_system)
-        labels[index] = best.region
-        energies[index] = best.energy
-    return PhaseGrid(axes=tuple(pairs), axis_values=values, labels=labels,
+    # one validation covers every cell: each axis at its least admissible value
+    edge = system.with_couplings({
+        p: min(v, key=lambda m: (math.isfinite(m), m))
+        for p, v in zip(pairs, values)
+    })
+    base = rwa_rescale(edge) if rwa else require_valid(edge)
+    scale = 0.5 if rwa else 1.0
+    mesh = np.meshgrid(*(scale * np.array(v) for v in values), indexing="ij")
+    mu = {base.transition(p).pair: m for p, m in zip(pairs, mesh)}
+    stack = np.stack([np.zeros(res)] + [
+        np.broadcast_to(variational.condensate(base, p, mu.get(p)).energy, res)
+        for p in base.pairs
+    ])
+    best = np.argmin(stack, axis=0)
+    tags = np.array(["N"] + [str(RegionLabel(p)) for p in base.pairs],
+                    dtype=object)
+    energies = np.take_along_axis(stack, best[np.newaxis], axis=0)[0]
+    return PhaseGrid(axes=tuple(pairs), axis_values=values, labels=tags[best],
                      energies=energies, rwa=rwa)

@@ -144,6 +144,9 @@ def build_basis(system: AtomicSystem, atom_count: int,
     if isinstance(cutoffs, int):
         cut = tuple([cutoffs] * len(pairs))
     else:
+        missing = [p for p in pairs if p not in cutoffs]
+        if missing:
+            raise ValueError(f"cutoffs missing for transitions {missing}")
         cut = tuple(int(cutoffs[p]) for p in pairs)
     if any(c < 0 for c in cut):
         raise ValueError(f"cutoffs must be nonnegative, got {cut}")
@@ -508,16 +511,12 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     require_valid(system)
-    pairs = system.pairs
-    if isinstance(start_cutoffs, int):
-        current = {p: start_cutoffs for p in pairs}
-    else:
-        current = {p: int(start_cutoffs[p]) for p in pairs}
-    previous = ground_state(system, atom_count, current, rwa=rwa,
+    previous = ground_state(system, atom_count, start_cutoffs, rwa=rwa,
                             config=config, budget=budget)
+    current = previous.cutoffs
     last_change = math.inf
     for _ in range(max_doublings):
-        finer = {p: 2 * c for p, c in current.items()}
+        finer = {p: max(2 * c, 1) for p, c in current.items()}
         result = ground_state(system, atom_count, finer, rwa=rwa,
                               config=config, budget=budget)
         last_change = abs(result.energy - previous.energy)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
@@ -254,53 +254,63 @@ def _gradient_raw(system: AtomicSystem, rho: np.ndarray) -> np.ndarray:
     return 2.0 * rho * bracket / denom
 
 
-def candidates(system: AtomicSystem) -> list[VariationalCandidate]:
-    """All closed-form minimum candidates: the normal point plus one per mode.
+class Condensate(NamedTuple):
+    """Condensate fields; x, r and b_over_a mean something only where exists."""
 
-    A transition (j,k) yields a condensate candidate iff
-    4 mu^2 >= (omega_k - omega_j) Omega; the matter amplitude is then
-    x = sqrt((4mu^2 - dw*Omega)/(4mu^2 + dw*Omega)), the field radius
-    2 mu x / (Omega (1 + x^2)) and the energy
-    omega_j - (4mu^2 - dw*Omega)^2 / (16 Omega mu^2).
+    exists: np.ndarray
+    x: np.ndarray
+    r: np.ndarray
+    energy: np.ndarray      # +inf where the condensate does not exist
+    b_over_a: np.ndarray
+
+
+def condensate(system: AtomicSystem, pair: Pair, mu=None) -> Condensate:
+    """Closed-form condensate of transition `pair`, elementwise over mu.
+
+    mu is a scalar or an array and defaults to the transition's own
+    coupling.  With A = 4 mu^2 and B = (omega_k - omega_j) Omega the
+    condensate exists iff mu > 0 and A >= B; its matter amplitude is
+    x = sqrt((A - B)/(A + B)), its field radius 2 mu x / (Omega (1 + x^2))
+    and its energy omega_j - (A - B)^2 / (16 Omega mu^2).  Squares are
+    products, never pow, so that scalar and array inputs round alike.
     """
+    t = system.transition(pair)
+    mu = np.asarray(t.mu if mu is None else mu, dtype=float)
+    a = 4.0 * mu * mu
+    b = (system.omega[t.k - 1] - system.omega[t.j - 1]) * t.Omega
+    exists = (mu > 0.0) & (a >= b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = a - b
+        x = np.sqrt(d / (a + b))
+        r = 2.0 * mu * x / (t.Omega * (1.0 + x * x))
+        energy = system.omega[t.j - 1] - d * d / (16.0 * t.Omega * mu * mu)
+        return Condensate(exists, x, r, np.where(exists, energy, np.inf), b / a)
+
+
+def candidates(system: AtomicSystem) -> list[VariationalCandidate]:
+    """All closed-form minimum candidates: the normal point plus one
+    :func:`condensate` per mode, in the order normal, then pairs ascending."""
     require_valid(system)
     out = [VariationalCandidate(kind=KIND_NORMAL, pair=None, matter_amp=None,
                                 photon_amp=0.0, energy=0.0, exists=True)]
     for p in system.pairs:
-        t = system.transition(p)
-        kind = KIND_LOW if t.j == 1 else KIND_HIGH
-        dw = system.omega[t.k - 1] - system.omega[t.j - 1]
-        a = 4.0 * t.mu * t.mu
-        b = dw * t.Omega
-        if t.mu == 0.0 or a < b:
-            out.append(VariationalCandidate(kind=kind, pair=p, matter_amp=None,
-                                            photon_amp=None, energy=None,
-                                            exists=False))
-            continue
-        x = math.sqrt((a - b) / (a + b))
-        r = 2.0 * t.mu * x / (t.Omega * (1.0 + x * x))
-        energy = system.omega[t.j - 1] - (a - b) ** 2 / (16.0 * t.Omega * t.mu * t.mu)
-        out.append(VariationalCandidate(kind=kind, pair=p, matter_amp=x,
-                                        photon_amp=r, energy=energy,
-                                        exists=True))
+        c = condensate(system, p)
+        fields = ((float(c.x), float(c.r), float(c.energy)) if c.exists
+                  else (None, None, None))
+        out.append(VariationalCandidate(KIND_LOW if p[0] == 1 else KIND_HIGH,
+                                        p, *fields, exists=bool(c.exists)))
     return out
 
 
 def minimize(system: AtomicSystem) -> VariationalCandidate:
     """Existing candidate of least energy.
 
-    Ties (which occur exactly on separatrices) resolve deterministically in
-    the order normal, then low pairs ascending, then high pairs ascending;
-    :func:`candidates` already emits that order.
+    Ties (which occur exactly on separatrices) resolve to the first in
+    candidate order: normal, then pairs ascending, which puts every ground
+    level pair (1,k) before the excited ones.
     """
-    best = None
-    cands = [c for c in candidates(system) if c.exists]
-    lows = [c for c in cands if c.kind != KIND_HIGH]
-    highs = [c for c in cands if c.kind == KIND_HIGH]
-    for cand in lows + highs:
-        if best is None or cand.energy < best.energy:
-            best = cand
-    return best
+    return min((c for c in candidates(system) if c.exists),
+               key=lambda c: c.energy)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,13 @@ class TestValidate:
         assert main(["validate", "--system", system_file(bad, "bad.json")]) == 1
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_non_finite_coupling_exits_1(self, tmp_path, capsys):
+        # json accepts the NaN literal, so the system file parses
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(CASCADE).replace('"mu": 1.0}', '"mu": NaN}', 1))
+        assert main(["validate", "--system", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--system", str(tmp_path / "nope.json")]) == 1
 
@@ -243,6 +250,24 @@ class TestCompare:
         for point in payload["points"]:
             assert point["labels_agree"] is True
             assert point["delta_nu"] < -0.5
+
+    def test_rwa_uses_rotating_wave_variational_energy(self, system_file,
+                                                        tmp_path):
+        # the rotating-wave problem at (0.61, 0.79) is the full one at half
+        # those couplings, which lies in the normal region
+        out = tmp_path / "cmp_rwa.json"
+        assert main([
+            "compare", "--system", system_file(),
+            "--axes", "1-2", "--axes", "2-3", "--range", "0.61:0.79",
+            "--res", "2", "--na", "1", "--cutoff", "8", "--rwa",
+            "--out", str(out),
+        ]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert points[1]["couplings"] == {"1_2": 0.61, "2_3": 0.79}
+        for point in points:
+            assert point["label_var"] == "N"
+            assert point["E_var"] == 0.0
+            assert point["gap"] >= -1e-9
 
 
 class TestDeterminism:

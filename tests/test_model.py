@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from polydicke import (
@@ -5,6 +7,7 @@ from polydicke import (
     InvalidSystemError,
     Transition,
     lmax,
+    minimize,
     require_valid,
     validate,
 )
@@ -58,6 +61,22 @@ def test_transition_field_violations():
     bad_order = AtomicSystem(n=3, omega=(0.0, 1.0, 2.0),
                              transitions=(Transition(2, 1, 1.0, 0.5),))
     assert any("1 <= j < k <= n" in v for v in validate(bad_order).violations)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_violations(bad):
+    for field, system in (
+        ("level energies", AtomicSystem(n=2, omega=(0.0, bad),
+                                        transitions=(Transition(1, 2, 1.0, 0.5),))),
+        ("mode frequency", AtomicSystem(n=2, omega=(0.0, 1.0),
+                                        transitions=(Transition(1, 2, bad, 0.5),))),
+        ("dipolar strength", AtomicSystem(n=2, omega=(0.0, 1.0),
+                                          transitions=(Transition(1, 2, 1.0, bad),))),
+    ):
+        report = validate(system)
+        assert any(field in v and "finite" in v for v in report.violations)
+        with pytest.raises(InvalidSystemError):
+            minimize(system)
 
 
 def test_lmax_excess_is_a_notice_not_violation():

@@ -5,11 +5,13 @@ import pytest
 
 from polydicke import (
     BoundarySweep,
+    InvalidSystemError,
     RegionLabel,
     collective_boundary,
     ehrenfest_probe,
     minimize,
     normal_boundary,
+    rwa_rescale,
     scan_grid,
     transition_order,
 )
@@ -156,11 +158,25 @@ class TestScanGrid:
             label = RegionLabel.parse(tag)
             assert label.is_normal or label.pair in xi().pairs
 
-    def test_label_energy_bit_for_bit(self, xi):
-        system = xi()
-        grid = scan_grid(system, [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0))], 9)
+    @pytest.mark.parametrize("config, fixed, axes, res, rwa", [
+        ("xi", {}, [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0))], 9, False),
+        ("xi", {}, [((1, 2), (0.0, 3.0)), ((2, 3), (0.0, 3.0))], 13, True),
+        ("xi", {(2, 3): 0.9}, [((1, 2), (0.0, 2.0))], 41, False),
+        ("xi", {(1, 2): 1.3}, [((2, 3), (0.0, 3.0))], 41, True),
+        ("cascade4", {},
+         [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0)), ((3, 4), (0.0, 2.0))],
+         (7, 8, 9), False),
+        ("cascade4", {(2, 3): 1.4},
+         [((3, 4), (0.0, 3.0)), ((1, 2), (0.0, 3.0))], 17, True),
+    ], ids=["xi", "xi-rwa", "xi-fixed", "xi-fixed-rwa", "cascade4-3axes",
+            "cascade4-fixed-rwa"])
+    def test_label_energy_bit_for_bit(self, request, config, fixed, axes, res,
+                                      rwa):
+        system = request.getfixturevalue(config)().with_couplings(fixed)
+        grid = scan_grid(system, axes, res, rwa=rwa)
         for index in np.ndindex(*grid.shape):
-            best = minimize(system.with_couplings(grid.cell_couplings(index)))
+            cell = system.with_couplings(grid.cell_couplings(index))
+            best = minimize(rwa_rescale(cell) if rwa else cell)
             assert best.region == grid.labels[index]
             assert best.energy == grid.energies[index]
 
@@ -185,6 +201,13 @@ class TestScanGrid:
             scan_grid(xi(), [((1, 2), (0.0, 2.0))], 0)
         with pytest.raises(ValueError):
             scan_grid(xi(), [((1, 2), (0.0, 2.0))], -3)
+
+    def test_rejects_invalid_axis_couplings(self, xi):
+        for lo, hi in ((-0.5, 1.0), (0.0, math.nan)):
+            with pytest.raises(InvalidSystemError):
+                scan_grid(xi(), [((1, 2), (lo, hi))], 5)
+        with pytest.raises(InvalidSystemError):
+            scan_grid(xi(), [((2, 3), (-1.0, 1.0))], 5, rwa=True)
 
     def test_rejects_unknown_axis(self, xi):
         with pytest.raises(KeyError):

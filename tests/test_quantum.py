@@ -237,6 +237,18 @@ class TestConvergeCutoff:
         assert cut == {(1, 2): 4, (2, 3): 4}
         assert result.energy == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_start_cutoffs_grow(self, xi):
+        cut, result = converge_cutoff(xi(0.3, 0.3), 1, 0, tol=1e-6)
+        assert all(c >= 1 for c in cut.values())
+        assert result.converged
+        assert result.energy <= minimize(xi(0.3, 0.3)).energy + 1e-12
+
+    def test_incomplete_cutoff_map_names_the_pair(self, xi):
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            build_basis(xi(), 1, {(1, 2): 4})
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            converge_cutoff(xi(), 1, {(1, 2): 4}, tol=1e-6)
+
     def test_benchmark_point_converges(self, xi):
         start = suggest_cutoffs(xi(1.0, 1.0), 1)
         cut, result = converge_cutoff(xi(1.0, 1.0), 1, start, tol=1e-6)

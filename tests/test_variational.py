@@ -9,6 +9,7 @@ from polydicke import (
     MatterAmplitudes,
     Transition,
     candidates,
+    condensate,
     energy_surface_full,
     gradient,
     minimize,
@@ -213,6 +214,71 @@ class TestCandidates:
 
     def test_candidate_count_is_one_plus_transitions(self, cascade4):
         assert len(candidates(cascade4())) == 4
+
+
+def reference_candidates(system):
+    """Scalar closed forms, one transition at a time (the kernel's reference)."""
+    out = []
+    for p in system.pairs:
+        t = system.transition(p)
+        dw = system.omega[t.k - 1] - system.omega[t.j - 1]
+        a = 4.0 * t.mu * t.mu
+        b = dw * t.Omega
+        if t.mu == 0.0 or a < b:
+            out.append((p, False, None, None, None))
+            continue
+        x = math.sqrt((a - b) / (a + b))
+        r = 2.0 * t.mu * x / (t.Omega * (1.0 + x * x))
+        energy = system.omega[t.j - 1] - (a - b) ** 2 / (16.0 * t.Omega * t.mu * t.mu)
+        out.append((p, True, x, r, energy))
+    return out
+
+
+class TestCondensateKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_scalar_reference(self, n):
+        # the kernel squares by multiplication and the reference by pow, so
+        # the two may differ in the last bit only
+        rng = np.random.default_rng(40 + n)
+        for _ in range(60):
+            system = random_system(rng, n)
+            got = candidates(system)[1:]
+            for c, (p, exists, x, r, energy) in zip(got, reference_candidates(system)):
+                assert c.pair == p and c.exists == exists
+                if exists:
+                    assert c.matter_amp == pytest.approx(x, rel=1e-14, abs=1e-300)
+                    assert c.photon_amp == pytest.approx(r, rel=1e-14, abs=1e-300)
+                    assert c.energy == pytest.approx(energy, rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_array_equals_scalar_bit_for_bit(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(20):
+            system = random_system(rng, n)
+            mu = np.concatenate(([0.0], rng.uniform(0.0, 3.0, 40)))
+            for p in system.pairs:
+                whole = condensate(system, p, mu)
+                for i, m in enumerate(mu):
+                    one = condensate(system, p, m)
+                    assert one.exists == whole.exists[i]
+                    assert one.energy == whole.energy[i]
+                    if one.exists:
+                        assert (one.x, one.r, one.b_over_a) == (
+                            whole.x[i], whole.r[i], whole.b_over_a[i])
+
+    def test_absent_condensate_has_infinite_energy(self, xi):
+        c = condensate(xi(), (1, 2), [0.0, 0.3, 0.5, 1.0])
+        assert c.exists.tolist() == [False, False, True, True]
+        assert c.energy[0] == c.energy[1] == math.inf
+        assert c.energy[2] == 0.0 and c.x[2] == 0.0
+        assert c.energy[3] == pytest.approx(E_12, abs=1e-15)
+
+    def test_defaults_to_own_coupling(self, xi):
+        c = condensate(xi(1.0, 1.0), (2, 3))
+        assert c.exists
+        assert c.energy == pytest.approx(E_23, abs=1e-15)
+        assert c.x == pytest.approx(ETA_C_23, abs=1e-15)
+        assert c.r == pytest.approx(R_C_23, abs=1e-15)
 
 
 class TestMinimize:
