@@ -4,7 +4,8 @@ observables, run exact diagonalization, and compare the two pipelines.
 All outputs are CSV (grids, sweeps) or JSON (structured results) with a
 metadata block carrying the tool version, a hash of the resolved run
 configuration, and the seed, so identical invocations produce byte-identical
-files.  Files are written to a temporary sibling and renamed into place.
+files.  Files are written to a uniquely named temporary sibling and
+renamed into place.
 Exit codes: 0 success, 1 configuration error, 2 budget or convergence
 failure.
 """
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -68,12 +70,19 @@ def _load_system(path: str) -> AtomicSystem:
 
 def _atomic_write(path: str, text: str) -> None:
     target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
+                               suffix=".tmp")
     try:
-        tmp.write_text(text)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates the file private; give it the mode a plain
+        # open() would have given it
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 

@@ -9,10 +9,22 @@ dropped by construction and their damage is measured after the solve as the
 ground-state weight sitting on saturated photon states.
 
 Every charge parity is conserved, so the basis splits into sectors that the
-Hamiltonian never connects; each sector's lowest eigenpair is found densely
-below a size threshold and with a seeded Lanczos solver above it, and the
-global minimum over sectors is the exact ground state of the truncated
-problem.
+Hamiltonian never connects; the global minimum over per-sector lowest
+eigenpairs is the exact ground state of the truncated problem.  Sectors are
+keyed by one integer per parity row.  Zero couplings and the rotating-wave
+charges split a sector further into connected components, which are solved
+by size:
+
+* single states are read off the diagonal;
+* several components of one size go through stacked NumPy eigenvalue
+  solves, in stacks no larger than one dense block at the dense threshold,
+  and only the lowest block gets an eigenvector solve;
+* any other component (or an unsplit sector) is solved densely up to the
+  dense threshold and with a seeded Lanczos solver above it.
+
+The default threshold of 300 states sits at the measured crossover: on ξ
+sector blocks, one thread, the dense lowest-eigenpair solve takes 1.4 ms at
+169 states and 42 ms at 721, and Lanczos 3.7 ms and 8.4 ms.
 """
 
 from __future__ import annotations
@@ -118,14 +130,21 @@ class TruncatedBasis:
         )
 
     def nu_columns(self) -> np.ndarray:
-        """(size, n_modes) photon occupation of every basis index."""
-        dims = self.mode_dims
-        total = self.size
-        cols = np.empty((total, len(dims)), dtype=np.int64)
-        idx = np.arange(total) // self.atomic_dim
-        for m in range(len(dims) - 1, -1, -1):
-            idx, rem = np.divmod(idx, dims[m])
-            cols[:, m] = rem
+        """(size, n_modes) photon occupation of every basis index.
+
+        Computed on the first call and shared, read-only, by later ones.
+        """
+        cols = self.__dict__.get("_nu_columns")
+        if cols is None:
+            dims = self.mode_dims
+            total = self.size
+            cols = np.empty((total, len(dims)), dtype=np.int64)
+            idx = np.arange(total) // self.atomic_dim
+            for m in range(len(dims) - 1, -1, -1):
+                idx, rem = np.divmod(idx, dims[m])
+                cols[:, m] = rem
+            cols.flags.writeable = False
+            object.__setattr__(self, "_nu_columns", cols)
         return cols
 
     def occupation_columns(self) -> np.ndarray:
@@ -140,6 +159,8 @@ def build_basis(system: AtomicSystem, atom_count: int,
                 budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedBasis:
     """Enumerate the truncated basis, refusing sizes above the budget."""
     require_valid(system)
+    if atom_count < 1:
+        raise ValueError(f"atom_count must be at least 1, got {atom_count}")
     pairs = system.pairs
     if isinstance(cutoffs, int):
         cut = tuple([cutoffs] * len(pairs))
@@ -254,49 +275,33 @@ def split_sectors(system: AtomicSystem,
     """
     require_valid(system)
     nu_cols = basis.nu_columns()
-    occ = basis.occupation_columns()
-    K = occ.copy()
+    K = basis.occupation_columns()
     for m, (j, k) in enumerate(basis.pairs):
         K[:, k - 1] += nu_cols[:, m]
         K[:, j - 1] -= nu_cols[:, m]
     parity = np.mod(K, 2)
-
-    letters = {0: "e", 1: "o"}
-    named = None
+    # one integer per parity row: bit j holds the parity of level j + 1
+    code = parity @ (1 << np.arange(basis.n_levels, dtype=np.int64))
+    _, first, inverse = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    names = parity[first]
     try:
-        weights = excitation_weights(system)
-        lam = np.array(weights.lam, dtype=np.int64)
-        M = K @ lam
-        short = np.stack([np.mod(M, 2), parity[:, -1]], axis=1)
-        # adopt the two-letter naming only if it separates the full classes
-        full_keys = [tuple(row) for row in parity]
-        short_keys = [tuple(row) for row in short]
-        mapping = {}
-        ok = True
-        for fk, sk in zip(full_keys, short_keys):
-            if sk in mapping and mapping[sk] != fk:
-                ok = False
-                break
-            mapping[sk] = fk
-        if ok:
-            named = short_keys
+        lam = np.array(excitation_weights(system).lam, dtype=np.int64)
+        short = 2 * np.mod(K @ lam, 2) + parity[:, -1]
+        # adopt the two-letter naming only if it separates the full classes:
+        # no two-letter key may occur together with two full keys
+        if len(np.unique(short)) == len(np.unique(4 * code + short)):
+            names = np.stack([short[first] // 2, short[first] % 2], axis=1)
     except WeightError:
-        named = None
+        pass
 
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    names: Dict[Tuple[int, ...], str] = {}
-    for i, row in enumerate(parity):
-        key = tuple(row)
-        groups.setdefault(key, []).append(i)
-        if key not in names:
-            if named is not None:
-                names[key] = "".join(letters[v] for v in named[i])
-            else:
-                names[key] = "".join(letters[v] for v in key)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
     sectors = [
-        SymmetrySector(label=names[key], parity=key,
-                       indices=np.array(ix, dtype=np.int64))
-        for key, ix in groups.items()
+        SymmetrySector(label="".join("eo"[v] for v in name),
+                       parity=tuple(int(v) for v in parity[i]),
+                       indices=ix)
+        for name, i, ix in zip(names, first, np.split(order, bounds))
     ]
     sectors.sort(key=lambda s: s.label)
     return sectors
@@ -306,7 +311,7 @@ def split_sectors(system: AtomicSystem,
 class SolverConfig:
     """Knobs for the per-sector eigensolves and truncation diagnostics."""
 
-    dense_threshold: int = 2000
+    dense_threshold: int = 300
     seed: int = 0
     boundary_threshold: float = 1e-8
     degeneracy_tol: float = 1e-10
@@ -375,29 +380,72 @@ def _lowest_eigenpair_irreducible(H: sp.csr_matrix, config: SolverConfig,
 
 def _lowest_eigenpair(H: sp.csr_matrix, config: SolverConfig,
                       sector_seed: int) -> Tuple[float, np.ndarray]:
-    """Lowest eigenpair of one sector block.
+    """Lowest eigenpair of one sector block, which holds no stored zeros.
 
-    Zero couplings leave extra conserved occupations, so a sector can itself
-    be block diagonal; Lanczos from a single start vector may lose weight on
-    exactly decoupled blocks.  The sparsity graph's connected components make
-    that split explicit, and the minimum over per-component solves is exact.
+    Zero couplings and the rotating-wave charges leave extra conserved
+    quantities, so a sector can itself be block diagonal; Lanczos from a
+    single start vector may lose weight on exactly decoupled blocks.  The
+    sparsity graph's connected components make that split explicit, and the
+    minimum over per-component solves is exact.  Components are solved by
+    size: single states are read off the diagonal, blocks of one size of
+    which at least two fit in a dense block of dense_threshold states go
+    through stacked eigenvalue solves, and the rest are solved one by one.
+    Among equal energies the component with the lowest label wins.
     """
-    H = H.copy()
-    H.eliminate_zeros()
     n_comp, membership = connected_components(H, directed=False)
     if n_comp == 1:
         return _lowest_eigenpair_irreducible(H, config, sector_seed)
-    best: Tuple[float, np.ndarray, np.ndarray] = None
-    for comp in range(n_comp):
-        idx = np.nonzero(membership == comp)[0]
-        sub = H[idx][:, idx]
-        energy, vec = _lowest_eigenpair_irreducible(
-            sub, config, sector_seed + 7919 * (comp + 1))
-        if best is None or energy < best[0]:
-            best = (energy, vec, idx)
-    energy, vec, idx = best
+    sizes = np.bincount(membership)
+    # states grouped by component, ascending within each
+    order = np.argsort(membership, kind="stable")
+    offsets = np.cumsum(sizes) - sizes
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - offsets[membership[order]]
+    coo = H.tocoo()
+    entry_comp = membership[coo.row]
+    diagonal = H.diagonal()
+
+    best = (math.inf, n_comp, None)  # (energy, component, local vector)
+
+    def offer(energies: np.ndarray, comps: np.ndarray, vectors) -> None:
+        nonlocal best
+        i = int(np.argmin(energies))
+        if (energies[i], comps[i]) < best[:2]:
+            best = (float(energies[i]), int(comps[i]), vectors(i))
+
+    for m in np.unique(sizes):
+        comps = np.flatnonzero(sizes == m)
+        if m == 1:
+            offer(diagonal[order[offsets[comps]]], comps,
+                  lambda i: np.ones(1))
+            continue
+        # a stack holds at most as many entries as one threshold-size block
+        per_call = (config.dense_threshold // m) ** 2
+        if len(comps) == 1 or per_call < 2:
+            for c in comps:
+                idx = order[offsets[c]:offsets[c] + m]
+                energy, vec = _lowest_eigenpair_irreducible(
+                    H[idx][:, idx], config, sector_seed + 7919 * (c + 1))
+                offer(np.array([energy]), np.array([c]), lambda i: vec)
+            continue
+        slot = np.full(n_comp, -1)
+        slot[comps] = np.arange(len(comps))
+        mine = np.flatnonzero(sizes[entry_comp] == m)
+        mine = mine[np.argsort(slot[entry_comp[mine]], kind="stable")]
+        entry_slot = slot[entry_comp[mine]]
+        for lo in range(0, len(comps), per_call):
+            hi = min(lo + per_call, len(comps))
+            a, b = np.searchsorted(entry_slot, [lo, hi])
+            e = mine[a:b]
+            blocks = np.zeros((hi - lo, m, m))
+            blocks[entry_slot[a:b] - lo, local[coo.row[e]],
+                   local[coo.col[e]]] = coo.data[e]
+            offer(np.linalg.eigvalsh(blocks)[:, 0], comps[lo:hi],
+                  lambda i: np.linalg.eigh(blocks[i])[1][:, 0])
+
+    energy, comp, vec = best
     full = np.zeros(H.shape[0])
-    full[idx] = vec
+    full[order[offsets[comp]:offsets[comp] + sizes[comp]]] = vec
     return energy, full
 
 
@@ -416,9 +464,10 @@ def ground_state(system: AtomicSystem, atom_count: int,
     config = config or SolverConfig()
     basis = build_basis(system, atom_count, cutoffs, budget=budget)
     H = build_hamiltonian(system, basis, rwa=rwa)
+    H.eliminate_zeros()
     sectors = split_sectors(system, basis)
 
-    found: List[Tuple[str, float, np.ndarray, np.ndarray]] = []
+    found: List[Tuple[str, float, np.ndarray, np.ndarray, sp.csr_matrix]] = []
     for s_index, sector in enumerate(sectors):
         Hs = H[sector.indices][:, sector.indices]
         try:
@@ -427,20 +476,19 @@ def ground_state(system: AtomicSystem, atom_count: int,
             raise RuntimeError(
                 f"eigensolver failed to converge in sector {sector.label}: {exc}"
             ) from exc
-        found.append((sector.label, energy, vec, sector.indices))
+        found.append((sector.label, energy, vec, sector.indices, Hs))
 
     found.sort(key=lambda item: (item[1], item[0]))
     e_min = found[0][1]
     degenerate = tuple(sorted(
-        lab for lab, e, _, _ in found if e - e_min <= config.degeneracy_tol
+        item[0] for item in found if item[1] - e_min <= config.degeneracy_tol
     ))
     winner = min(
         (item for item in found if item[1] - e_min <= config.degeneracy_tol),
         key=lambda item: item[0],
     )
-    label, energy, vec, indices = winner
+    label, energy, vec, indices, Hs = winner
 
-    Hs = H[indices][:, indices]
     residual = float(np.linalg.norm(Hs @ vec - energy * vec)
                      / np.linalg.norm(vec))
     weights = vec * vec
@@ -464,7 +512,7 @@ def ground_state(system: AtomicSystem, atom_count: int,
     return QuantumGroundResult(
         energy=energy / atom_count,
         sector=label,
-        sector_energies={lab: e / atom_count for lab, e, _, _ in found},
+        sector_energies={item[0]: item[1] / atom_count for item in found},
         degenerate_sectors=degenerate,
         nu=nu,
         populations=populations,

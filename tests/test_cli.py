@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -203,6 +204,32 @@ class TestExact:
         ])
         assert code == 2
         assert not (tmp_path / "never.json").exists()
+
+    def test_zero_atoms_exits_1(self, system_file, tmp_path, capsys):
+        code = main([
+            "exact", "--system", system_file(), "--na", "0",
+            "--cutoff", "4", "--out", str(tmp_path / "never.json"),
+        ])
+        assert code == 1
+        assert "atom_count" in capsys.readouterr().err
+        assert not (tmp_path / "never.json").exists()
+
+    def test_existing_tmp_sibling_survives_a_write(self, system_file,
+                                                   tmp_path):
+        out = tmp_path / "out.json"
+        bystander = tmp_path / "out.json.tmp"
+        bystander.write_text("not ours")
+        assert main([
+            "exact", "--system", system_file(), "--na", "1",
+            "--cutoff", "4", "--out", str(out),
+        ]) == 0
+        assert bystander.read_text() == "not ours"
+        assert json.loads(out.read_text())["points"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.json", "out.json.tmp", "system.json"]
 
     def test_small_grid_normal_region_photon_free(self, system_file, tmp_path):
         out = tmp_path / "grid.json"

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_system
 from polydicke import (
+    AtomicSystem,
     BudgetError,
     SolverConfig,
     SymmetryCharges,
+    Transition,
     build_basis,
     build_hamiltonian,
     converge_cutoff,
@@ -14,6 +21,8 @@ from polydicke import (
     split_sectors,
     suggest_cutoffs,
 )
+from polydicke.quantum import SymmetrySector, _lowest_eigenpair
+from polydicke.symmetries import WeightError, excitation_weights
 
 # dense-diagonalization oracle values for the cascade benchmark
 # (Omega12=1, Omega23=0.5, omega2=1, omega3=1.3) at mu12 = mu23 = 1
@@ -51,6 +60,13 @@ class TestBasis:
     def test_rejects_negative_cutoffs(self, xi):
         with pytest.raises(ValueError):
             build_basis(xi(), 1, {(1, 2): -1, (2, 3): 2})
+
+    @pytest.mark.parametrize("atoms", [0, -2])
+    def test_rejects_fewer_than_one_atom(self, xi, atoms):
+        with pytest.raises(ValueError, match=f"atom_count .*{atoms}"):
+            build_basis(xi(), atoms, 4)
+        with pytest.raises(ValueError, match=f"atom_count .*{atoms}"):
+            ground_state(xi(), atoms, 4)
 
 
 class TestHamiltonian:
@@ -280,3 +296,196 @@ class TestAtomNumberTrend:
         gap2 = minimize(xi(1.0, 1.0)).energy - ground_state(
             xi(1.0, 1.0, atom_count=2), 2, cut).energy
         assert 0.0 < gap2 < gap1
+
+
+def _split_sectors_reference(system, basis):
+    """The row-by-row dict grouping that split_sectors replaced."""
+    nu_cols = basis.nu_columns()
+    occ = basis.occupation_columns()
+    K = occ.copy()
+    for m, (j, k) in enumerate(basis.pairs):
+        K[:, k - 1] += nu_cols[:, m]
+        K[:, j - 1] -= nu_cols[:, m]
+    parity = np.mod(K, 2)
+
+    letters = {0: "e", 1: "o"}
+    named = None
+    try:
+        weights = excitation_weights(system)
+        lam = np.array(weights.lam, dtype=np.int64)
+        M = K @ lam
+        short = np.stack([np.mod(M, 2), parity[:, -1]], axis=1)
+        full_keys = [tuple(row) for row in parity]
+        short_keys = [tuple(row) for row in short]
+        mapping = {}
+        ok = True
+        for fk, sk in zip(full_keys, short_keys):
+            if sk in mapping and mapping[sk] != fk:
+                ok = False
+                break
+            mapping[sk] = fk
+        if ok:
+            named = short_keys
+    except WeightError:
+        named = None
+
+    groups, names = {}, {}
+    for i, row in enumerate(parity):
+        key = tuple(row)
+        groups.setdefault(key, []).append(i)
+        if key not in names:
+            if named is not None:
+                names[key] = "".join(letters[v] for v in named[i])
+            else:
+                names[key] = "".join(letters[v] for v in key)
+    sectors = [
+        SymmetrySector(label=names[key], parity=key,
+                       indices=np.array(ix, dtype=np.int64))
+        for key, ix in groups.items()
+    ]
+    sectors.sort(key=lambda s: s.label)
+    return sectors
+
+
+def _triangle():
+    return AtomicSystem(n=3, omega=(0.0, 0.7, 1.6), transitions=(
+        Transition(1, 2, 1.0, 0.5), Transition(2, 3, 0.8, 0.4),
+        Transition(1, 3, 1.2, 0.3)))
+
+
+class TestSplitSectorsPinned:
+    def _assert_same(self, system, atoms, cutoffs):
+        basis = build_basis(system, atoms, cutoffs)
+        got = split_sectors(system, basis)
+        want = _split_sectors_reference(system, basis)
+        assert [s.label for s in got] == [s.label for s in want]
+        assert [s.parity for s in got] == [s.parity for s in want]
+        for a, b in zip(got, want):
+            assert a.indices.dtype == b.indices.dtype
+            assert np.array_equal(a.indices, b.indices)
+        return got
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            system = random_system(rng, n)
+            cut = {p: int(rng.integers(0, 4)) for p in system.pairs}
+            self._assert_same(system, int(rng.integers(1, 4)), cut)
+
+    def test_inconsistent_weights_use_full_names(self):
+        system = _triangle()
+        with pytest.raises(WeightError):
+            excitation_weights(system)
+        sectors = self._assert_same(system, 2, 3)
+        assert all(len(s.label) == 3 for s in sectors)
+
+    def test_rejected_two_letter_names(self, cascade4):
+        sectors = self._assert_same(cascade4(), 2, {(1, 2): 2, (2, 3): 3,
+                                                    (3, 4): 1})
+        assert all(len(s.label) == 4 for s in sectors)
+
+
+def _block_matrix(rng, sizes, equal_pairs=0):
+    """Symmetric block-diagonal matrix with its rows shuffled."""
+    blocks = [rng.standard_normal((m, m)) for m in sizes]
+    blocks = [b + b.T for b in blocks]
+    for i in range(equal_pairs):
+        blocks[2 * i + 1] = blocks[2 * i]
+    dense = scipy.linalg.block_diag(*blocks)
+    perm = rng.permutation(len(dense))
+    return sp.csr_matrix(dense[np.ix_(perm, perm)])
+
+
+class TestComponentSolver:
+    @pytest.mark.parametrize("threshold", [1, 2, 4, 6, 300])
+    def test_matches_dense_on_block_diagonal(self, threshold):
+        rng = np.random.default_rng(threshold)
+        config = SolverConfig(dense_threshold=threshold)
+        for _ in range(10):
+            sizes = rng.choice([1, 2, 3, 5], size=int(rng.integers(2, 12)))
+            H = _block_matrix(rng, sizes)
+            energy, vec = _lowest_eigenpair(H, config, 0)
+            assert energy == pytest.approx(
+                np.linalg.eigvalsh(H.toarray())[0], abs=1e-12)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(H @ vec - energy * vec) <= 1e-10
+
+    @pytest.mark.parametrize("threshold", [2, 300])
+    def test_tie_goes_to_lowest_component_label(self, threshold):
+        # two identical 2x2 blocks on {0, 3} and {1, 2}; component labels
+        # follow the lowest index, so the block on {0, 3} must win
+        H = sp.csr_matrix(np.array([[1.0, 0.0, 0.0, 2.0],
+                                    [0.0, 1.0, 2.0, 0.0],
+                                    [0.0, 2.0, 1.0, 0.0],
+                                    [2.0, 0.0, 0.0, 1.0]]))
+        energy, vec = _lowest_eigenpair(
+            H, SolverConfig(dense_threshold=threshold), 0)
+        assert energy == pytest.approx(-1.0, abs=1e-14)
+        assert np.flatnonzero(vec).tolist() == [0, 3]
+
+    def test_tie_among_single_states(self):
+        H = sp.csr_matrix(np.diag([2.0, -1.0, 0.5, -1.0]))
+        energy, vec = _lowest_eigenpair(H, SolverConfig(), 0)
+        assert energy == -1.0
+        assert vec.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
+def _whole_sector_reference(system, atoms, cutoffs, rwa, tol):
+    """Dense eigh on every whole sector, with no component split."""
+    basis = build_basis(system, atoms, cutoffs)
+    H = build_hamiltonian(system, basis, rwa=rwa)
+    energies = {}
+    for sector in split_sectors(system, basis):
+        block = H[sector.indices][:, sector.indices].toarray()
+        energies[sector.label] = scipy.linalg.eigh(
+            block, eigvals_only=True, subset_by_index=[0, 0])[0] / atoms
+    e_min = min(energies.values())
+    winner = min(lab for lab, e in energies.items() if e - e_min <= tol)
+    return energies[winner], winner
+
+
+_systems = st.builds(
+    lambda seed, n, zero: (random_system(np.random.default_rng(seed), n), zero),
+    st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(0, 63))
+
+
+def _with_zeros(system, zero):
+    return system.with_couplings({
+        t.pair: 0.0 for i, t in enumerate(system.transitions)
+        if zero >> i & 1})
+
+
+class TestSolverProperties:
+    # at most 3**6 * 10 = 7290 states (n = 4, two atoms, cutoff 2)
+    CAP = {2: 5, 3: 3, 4: 2}
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(drawn=_systems, atoms=st.integers(1, 2), rwa=st.booleans(),
+           cut=st.integers(1, 5))
+    def test_ground_state_matches_whole_sector_dense(self, drawn, atoms,
+                                                     rwa, cut):
+        system, zero = drawn
+        system = _with_zeros(system, zero)
+        cut = min(cut, self.CAP[system.n])
+        result = ground_state(system, atoms, cut, rwa=rwa)
+        energy, sector = _whole_sector_reference(
+            system, atoms, cut, rwa, SolverConfig().degeneracy_tol)
+        assert result.energy == pytest.approx(energy, abs=1e-10)
+        assert result.sector == sector
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(drawn=_systems, atoms=st.integers(1, 3), rwa=st.booleans(),
+           cut=st.integers(1, 5))
+    def test_no_element_crosses_a_sector(self, drawn, atoms, rwa, cut):
+        system, zero = drawn
+        system = _with_zeros(system, zero)
+        basis = build_basis(system, atoms, min(cut, self.CAP[system.n]))
+        owner = np.empty(basis.size, dtype=np.int64)
+        for s_id, sector in enumerate(split_sectors(system, basis)):
+            owner[sector.indices] = s_id
+        H = build_hamiltonian(system, basis, rwa=rwa).tocoo()
+        nonzero = H.data != 0.0
+        assert np.array_equal(owner[H.row[nonzero]], owner[H.col[nonzero]])
