@@ -168,6 +168,9 @@ def validate(system: AtomicSystem) -> ValidationReport:
             bad.append(f"{tag}: mode frequency must be positive and finite")
         if not 0.0 <= t.mu < math.inf:
             bad.append(f"{tag}: dipolar strength must be nonnegative and finite")
+        elif not math.isfinite((4.0 * t.mu * t.mu) * (4.0 * t.mu * t.mu)):
+            bad.append(f"{tag}: dipolar strength {t.mu!r} overflows the "
+                       f"condensate energy, whose (4 mu^2)^2 is not finite")
         if t.pair in seen:
             bad.append(f"{tag}: pair served by two modes")
         seen.add(t.pair)

@@ -335,12 +335,15 @@ def scan_grid(system: AtomicSystem,
         tuple(float(v) for v in np.linspace(lo, hi, r))
         for (_, (lo, hi)), r in zip(axes, res)
     )
-    # one validation covers every cell: each axis at its least admissible value
+    # two validations cover every cell: each axis at its least admissible
+    # value (non-finite first), then at its largest
     edge = system.with_couplings({
         p: min(v, key=lambda m: (math.isfinite(m), m))
         for p, v in zip(pairs, values)
     })
     base = rwa_rescale(edge) if rwa else require_valid(edge)
+    require_valid(system.with_couplings(
+        {p: max(v) for p, v in zip(pairs, values)}))
     scale = 0.5 if rwa else 1.0
     mesh = np.meshgrid(*(scale * np.array(v) for v in values), indexing="ij")
     mu = {base.transition(p).pair: m for p, m in zip(pairs, mesh)}

@@ -20,17 +20,22 @@ by size:
   solves, in stacks no larger than one dense block at the dense threshold,
   and only the lowest block gets an eigenvector solve;
 * any other component (or an unsplit sector) is solved densely up to the
-  dense threshold and with a seeded Lanczos solver above it.
+  dense threshold and with Lanczos above it.
 
 The default threshold of 300 states sits at the measured crossover: on ξ
 sector blocks, one thread, the dense lowest-eigenpair solve takes 1.4 ms at
 169 states and 42 ms at 721, and Lanczos 3.7 ms and 8.4 ms.
+
+Each result keeps its per-sector lowest vectors.  `converge_cutoff` hands
+them to the next, finer solve, which embeds each in its own basis and
+starts Lanczos there instead of from a seeded random vector; on ξ this
+halves the Lanczos iterations of the fine solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -312,11 +317,27 @@ class SolverConfig:
     """Knobs for the per-sector eigensolves and truncation diagnostics."""
 
     dense_threshold: int = 300
+    # seeds the random Lanczos start of every block solved without a start
+    # vector from a coarser solve
     seed: int = 0
     boundary_threshold: float = 1e-8
     degeneracy_tol: float = 1e-10
     lanczos_tol: float = 0.0          # 0 = machine precision
     lanczos_maxiter: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class SectorVectors:
+    """Lowest vector of every sector of one solve, keyed by parity tuple.
+
+    Each entry holds the sector's global basis indices (ascending) and its
+    lowest vector on them.  A finer solve of the same problem embeds these
+    as Lanczos start vectors.
+    """
+
+    basis: TruncatedBasis
+    rwa: bool
+    vectors: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -340,6 +361,8 @@ class QuantumGroundResult:
     boundary_weight: float
     residual: float
     converged: bool
+    sector_vectors: Optional[SectorVectors] = field(
+        default=None, compare=False, repr=False)
 
     def to_json_dict(self, couplings: Optional[Mapping[Pair, float]] = None) -> dict:
         rec = {
@@ -364,22 +387,25 @@ class QuantumGroundResult:
 
 
 def _lowest_eigenpair_irreducible(H: sp.csr_matrix, config: SolverConfig,
-                                  seed: int) -> Tuple[float, np.ndarray]:
+                                  seed: int, v0: Optional[np.ndarray] = None,
+                                  ) -> Tuple[float, np.ndarray]:
+    """Lowest eigenpair of one connected block; v0 starts Lanczos if given."""
     dim = H.shape[0]
     if dim == 1:
         return float(H[0, 0]), np.ones(1)
     if dim <= config.dense_threshold:
         vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, 0])
         return float(vals[0]), vecs[:, 0]
-    rng = np.random.default_rng(config.seed + seed)
-    v0 = rng.standard_normal(dim)
+    if v0 is None:
+        v0 = np.random.default_rng(config.seed + seed).standard_normal(dim)
     vals, vecs = eigsh(H, k=1, which="SA", v0=v0, tol=config.lanczos_tol,
                        maxiter=config.lanczos_maxiter)
     return float(vals[0]), vecs[:, 0]
 
 
 def _lowest_eigenpair(H: sp.csr_matrix, config: SolverConfig,
-                      sector_seed: int) -> Tuple[float, np.ndarray]:
+                      sector_seed: int, v0: Optional[np.ndarray] = None,
+                      ) -> Tuple[float, np.ndarray]:
     """Lowest eigenpair of one sector block, which holds no stored zeros.
 
     Zero couplings and the rotating-wave charges leave extra conserved
@@ -390,11 +416,13 @@ def _lowest_eigenpair(H: sp.csr_matrix, config: SolverConfig,
     size: single states are read off the diagonal, blocks of one size of
     which at least two fit in a dense block of dense_threshold states go
     through stacked eigenvalue solves, and the rest are solved one by one.
-    Among equal energies the component with the lowest label wins.
+    Among equal energies the component with the lowest label wins.  The
+    start vector v0 is used only when the block is one connected component
+    that goes through Lanczos.
     """
     n_comp, membership = connected_components(H, directed=False)
     if n_comp == 1:
-        return _lowest_eigenpair_irreducible(H, config, sector_seed)
+        return _lowest_eigenpair_irreducible(H, config, sector_seed, v0)
     sizes = np.bincount(membership)
     # states grouped by component, ascending within each
     order = np.argsort(membership, kind="stable")
@@ -449,16 +477,72 @@ def _lowest_eigenpair(H: sp.csr_matrix, config: SolverConfig,
     return energy, full
 
 
+def _embed_indices(coarse: TruncatedBasis, fine: TruncatedBasis,
+                   indices: np.ndarray) -> np.ndarray:
+    """Index in `fine` of each `coarse` basis index, same occupations.
+
+    Both bases must share pairs and atomic compositions, and no fine cutoff
+    may lie below the coarse one.
+    """
+    nu = coarse.nu_columns()[indices]
+    photons = np.ravel_multi_index(tuple(nu.T), fine.mode_dims)
+    return photons * fine.atomic_dim + indices % coarse.atomic_dim
+
+
+def _start_vectors(start: Optional[QuantumGroundResult],
+                   basis: TruncatedBasis, rwa: bool,
+                   sectors: Sequence[SymmetrySector],
+                   ) -> List[Optional[np.ndarray]]:
+    """Lanczos start vector for each sector from a coarser solve, or None.
+
+    A start applies only to the same problem on a basis no finer than this
+    one; sectors are matched by parity, since the two-letter labels are
+    chosen per basis.  Every validated mu is nonnegative, so every
+    off-diagonal element is <= 0, and the lowest vector of a connected block
+    is strictly positive (Perron-Frobenius).  The coarse vector is one-signed
+    (up to rounding) on one coarse component, so its embedding always
+    overlaps it.
+    """
+    coarse = None if start is None else start.sector_vectors
+    if coarse is None:
+        return [None] * len(sectors)
+    cb = coarse.basis
+    if (coarse.rwa != rwa or cb.pairs != basis.pairs
+            or cb.atom_count != basis.atom_count
+            or cb.n_levels != basis.n_levels
+            or any(f < c for f, c in zip(basis.cutoffs, cb.cutoffs))):
+        return [None] * len(sectors)
+    out: List[Optional[np.ndarray]] = []
+    for sector in sectors:
+        entry = coarse.vectors.get(sector.parity)
+        if entry is None:  # no state of this sector below the coarse cutoffs
+            out.append(None)
+            continue
+        indices, vec = entry
+        fine = _embed_indices(cb, basis, indices)
+        pos = np.searchsorted(sector.indices, fine)
+        assert np.array_equal(sector.indices.take(pos, mode="clip"), fine)
+        v0 = np.zeros(len(sector.indices))
+        v0[pos] = vec
+        out.append(v0)
+    return out
+
+
 def ground_state(system: AtomicSystem, atom_count: int,
                  cutoffs: Union[int, Mapping[Pair, int]], rwa: bool = False,
                  config: Optional[SolverConfig] = None,
-                 budget: int = DEFAULT_BASIS_BUDGET) -> QuantumGroundResult:
+                 budget: int = DEFAULT_BASIS_BUDGET, *,
+                 start: Optional[QuantumGroundResult] = None,
+                 ) -> QuantumGroundResult:
     """Global ground state: the minimum over all per-sector lowest eigenpairs.
 
-    Deterministic for a fixed config seed.  Sectors within the degeneracy
-    tolerance of the minimum are all reported; observables come from the
-    lexicographically first of them.  Raises a RuntimeError with the
-    residual norm if an iterative solve fails to converge.
+    Deterministic for a fixed config seed and a fixed start.  Sectors within
+    the degeneracy tolerance of the minimum are all reported; observables
+    come from the lexicographically first of them.  The result keeps every
+    sector's lowest vector; passed back as `start` to a solve of the same
+    problem (pairs, atom count, rwa) with no cutoff lower, they start its
+    Lanczos solves, and any other start is ignored.  Raises a RuntimeError
+    with the residual norm if an iterative solve fails to converge.
     """
     require_valid(system)
     config = config or SolverConfig()
@@ -466,17 +550,20 @@ def ground_state(system: AtomicSystem, atom_count: int,
     H = build_hamiltonian(system, basis, rwa=rwa)
     H.eliminate_zeros()
     sectors = split_sectors(system, basis)
+    starts = _start_vectors(start, basis, rwa, sectors)
 
     found: List[Tuple[str, float, np.ndarray, np.ndarray, sp.csr_matrix]] = []
-    for s_index, sector in enumerate(sectors):
+    vectors: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+    for s_index, (sector, v0) in enumerate(zip(sectors, starts)):
         Hs = H[sector.indices][:, sector.indices]
         try:
-            energy, vec = _lowest_eigenpair(Hs, config, s_index)
+            energy, vec = _lowest_eigenpair(Hs, config, s_index, v0)
         except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
             raise RuntimeError(
                 f"eigensolver failed to converge in sector {sector.label}: {exc}"
             ) from exc
         found.append((sector.label, energy, vec, sector.indices, Hs))
+        vectors[sector.parity] = (sector.indices, vec)
 
     found.sort(key=lambda item: (item[1], item[0]))
     e_min = found[0][1]
@@ -521,6 +608,7 @@ def ground_state(system: AtomicSystem, atom_count: int,
         boundary_weight=boundary_weight,
         residual=residual,
         converged=boundary_weight <= config.boundary_threshold,
+        sector_vectors=SectorVectors(basis=basis, rwa=rwa, vectors=vectors),
     )
 
 
@@ -553,29 +641,34 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
     """Double every cutoff until the ground energy settles within tol.
 
     Stops when two successive solves agree within tol and the finer one does
-    not lean on the truncation boundary; returns that finer result.  Raises
-    BudgetError when the doubling budget or the basis budget runs out.
+    not lean on the truncation boundary; returns that finer result.  Each
+    finer solve starts its Lanczos solves from the previous solve's sector
+    vectors (see `ground_state`).  Raises BudgetError when the basis budget
+    or the doubling budget runs out; the latter's message lists every
+    step's cutoffs, energy per particle and boundary weight.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     require_valid(system)
+
+    def step(r: QuantumGroundResult) -> str:
+        return (f"cutoffs {r.cutoffs}: energy {r.energy:.12g}, "
+                f"boundary weight {r.boundary_weight:.3e}")
+
     previous = ground_state(system, atom_count, start_cutoffs, rwa=rwa,
                             config=config, budget=budget)
-    current = previous.cutoffs
-    last_change = math.inf
+    history = [step(previous)]
     for _ in range(max_doublings):
-        finer = {p: max(2 * c, 1) for p, c in current.items()}
+        finer = {p: max(2 * c, 1) for p, c in previous.cutoffs.items()}
         result = ground_state(system, atom_count, finer, rwa=rwa,
-                              config=config, budget=budget)
-        last_change = abs(result.energy - previous.energy)
-        if last_change < tol and result.converged:
+                              config=config, budget=budget, start=previous)
+        if abs(result.energy - previous.energy) < tol and result.converged:
             return finer, result
-        current, previous = finer, result
+        history.append(step(result))
+        previous = result
     raise BudgetError(
-        f"cutoffs {current} still not converged after {max_doublings} "
-        f"doublings (last energy change {last_change:.3e}, boundary weight "
-        f"{previous.boundary_weight:.3e})"
-    )
+        f"not converged within tol {tol:g} after {max_doublings} doublings: "
+        + "; ".join(history))
 
 
 def suggest_cutoffs(system: AtomicSystem, atom_count: int,

@@ -52,6 +52,13 @@ class TestValidate:
         assert main(["validate", "--system", str(path)]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mu", [1e100, 1e200])
+    def test_overflowing_coupling_exits_1(self, system_file, capsys, mu):
+        big = json.loads(json.dumps(CASCADE))
+        big["transitions"][0]["mu"] = mu
+        assert main(["validate", "--system", system_file(big, "big.json")]) == 1
+        assert "(1,2)" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--system", str(tmp_path / "nope.json")]) == 1
 
@@ -103,6 +110,16 @@ class TestPhaseDiagram:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("hi", ["1e100", "1e200"])
+    def test_range_reaching_overflow_exits_1(self, system_file, tmp_path, hi):
+        out = tmp_path / "x.csv"
+        code = main([
+            "phase-diagram", "--system", system_file(),
+            "--axes", "1-2", "--range", f"0:{hi}", "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
 
     def test_rwa_grid_equals_full_at_half_range(self, system_file, tmp_path):
         out_rwa = tmp_path / "rwa.csv"

@@ -79,6 +79,22 @@ def test_non_finite_parameters_are_violations(bad):
             minimize(system)
 
 
+@pytest.mark.parametrize("mu", [1e100, 1e200])
+def test_overflowing_coupling_is_a_violation(xi, mu):
+    # (4 mu^2)^2 in the condensate energy overflows: at 1e100 the energy
+    # was -inf, at 1e200 NaN, which minimize and scan_grid handled apart
+    system = xi(mu12=mu)
+    assert any("(1,2)" in v and "overflows" in v
+               for v in validate(system).violations)
+    with pytest.raises(InvalidSystemError, match=r"\(1,2\)"):
+        minimize(system)
+
+
+def test_large_finite_coupling_stays_valid(xi):
+    assert validate(xi(mu12=1e76)).ok
+    assert math.isfinite(minimize(xi(mu12=1e76)).energy)
+
+
 def test_lmax_excess_is_a_notice_not_violation():
     system = AtomicSystem(
         n=3, omega=(0.0, 1.0, 1.3),

@@ -209,6 +209,13 @@ class TestScanGrid:
         with pytest.raises(InvalidSystemError):
             scan_grid(xi(), [((2, 3), (-1.0, 1.0))], 5, rwa=True)
 
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("hi", [1e100, 1e200])
+    def test_rejects_axis_reaching_an_overflowing_coupling(self, xi, hi, rwa):
+        with pytest.raises(InvalidSystemError, match="overflows"):
+            scan_grid(xi(), [((1, 2), (0.0, hi)), ((2, 3), (0.0, 2.0))], 5,
+                      rwa=rwa)
+
     def test_rejects_unknown_axis(self, xi):
         with pytest.raises(KeyError):
             scan_grid(xi(), [((1, 3), (0.0, 2.0))], 5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_system
@@ -21,7 +21,8 @@ from polydicke import (
     split_sectors,
     suggest_cutoffs,
 )
-from polydicke.quantum import SymmetrySector, _lowest_eigenpair
+from polydicke import quantum
+from polydicke.quantum import SymmetrySector, _embed_indices, _lowest_eigenpair
 from polydicke.symmetries import WeightError, excitation_weights
 
 # dense-diagonalization oracle values for the cascade benchmark
@@ -278,12 +279,106 @@ class TestConvergeCutoff:
         assert e_big <= e_small + 1e-12
 
     def test_budget_exhaustion_reported(self, xi):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as err:
             converge_cutoff(xi(2.0, 2.0), 1, 2, tol=1e-12, max_doublings=1)
+        for cut in (2, 4):
+            step = ground_state(xi(2.0, 2.0), 1, cut)
+            assert f"cutoffs {step.cutoffs}: energy {step.energy:.12g}" in str(
+                err.value)
 
     def test_rejects_nonpositive_tol(self, xi):
         with pytest.raises(ValueError):
             converge_cutoff(xi(), 1, 4, tol=0.0)
+
+
+@pytest.fixture
+def eigsh_starts(monkeypatch):
+    """Start vector of every Lanczos solve, in call order."""
+    starts = []
+    eigsh = quantum.eigsh
+
+    def recording(H, **kwargs):
+        starts.append(kwargs["v0"].copy())
+        return eigsh(H, **kwargs)
+
+    monkeypatch.setattr(quantum, "eigsh", recording)
+    return starts
+
+
+class TestWarmStart:
+    LANCZOS = SolverConfig(dense_threshold=8)
+
+    def test_embedding_keeps_occupations(self):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            system = random_system(rng, int(rng.integers(2, 4)))
+            atoms = int(rng.integers(1, 3))
+            coarse_cut = {p: int(rng.integers(0, 3)) for p in system.pairs}
+            fine_cut = {p: c + int(rng.integers(0, 3))
+                        for p, c in coarse_cut.items()}
+            coarse = build_basis(system, atoms, coarse_cut)
+            fine = build_basis(system, atoms, fine_cut)
+            mapped = _embed_indices(coarse, fine, np.arange(coarse.size))
+            for i, j in enumerate(mapped):
+                assert fine.ket(int(j)) == coarse.ket(i)
+                assert fine.index(coarse.ket(i)) == j
+
+    def test_fine_solve_starts_from_coarse_vectors(self, xi, eigsh_starts):
+        system = xi(1.0, 1.0)
+        coarse = ground_state(system, 1, 3, config=self.LANCZOS)
+        eigsh_starts.clear()
+        warm = ground_state(system, 1, 6, config=self.LANCZOS, start=coarse)
+        cold = ground_state(system, 1, 6, config=self.LANCZOS)
+        basis = build_basis(system, 1, 6)
+        sectors = split_sectors(system, basis)
+        assert len(eigsh_starts) == 2 * len(sectors)
+        for sector, v0 in zip(sectors, eigsh_starts):
+            indices, _ = coarse.sector_vectors.vectors[sector.parity]
+            assert np.count_nonzero(v0) == len(indices) < len(v0)
+            v0 = v0 * np.sign(v0[np.argmax(abs(v0))])
+            assert v0.min() > -1e-12
+        assert warm.energy == pytest.approx(cold.energy, abs=1e-12)
+        assert warm.sector_energies == pytest.approx(cold.sector_energies,
+                                                     abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["atoms", "finer", "rwa"])
+    def test_mismatched_start_is_ignored(self, xi, eigsh_starts, case):
+        system = xi(1.0, 1.0, atom_count=2)
+        start = {
+            # four atoms: the parity classes of two and four atoms coincide
+            "atoms": ground_state(xi(1.0, 1.0, atom_count=4), 4, 3,
+                                  config=self.LANCZOS),
+            "finer": ground_state(system, 2, 8, config=self.LANCZOS),
+            "rwa": ground_state(system, 2, 3, rwa=True, config=self.LANCZOS),
+        }[case]
+        eigsh_starts.clear()
+        warm = ground_state(system, 2, 6, config=self.LANCZOS, start=start)
+        assert eigsh_starts and all(np.all(v0 != 0.0) for v0 in eigsh_starts)
+        assert warm == ground_state(system, 2, 6, config=self.LANCZOS)
+
+    def test_sector_absent_from_start_starts_at_random(self, xi,
+                                                       eigsh_starts):
+        system = xi(1.0, 1.0)
+        # no photons: the single atom fixes the parities, three sectors of four
+        coarse = ground_state(system, 1, 0, config=self.LANCZOS)
+        eigsh_starts.clear()
+        warm = ground_state(system, 1, 6, config=self.LANCZOS, start=coarse)
+        cold = ground_state(system, 1, 6, config=self.LANCZOS)
+        sectors = split_sectors(system, build_basis(system, 1, 6))
+        absent = [s.label for s in sectors
+                  if s.parity not in coarse.sector_vectors.vectors]
+        assert len(absent) == 1 and len(coarse.sector_vectors.vectors) == 3
+        for sector, v0 in zip(sectors, eigsh_starts):
+            assert np.all(v0 != 0.0) == (sector.label in absent)
+        assert warm.sector_energies[absent[0]] == cold.sector_energies[absent[0]]
+        assert warm.sector_energies == pytest.approx(cold.sector_energies,
+                                                     abs=1e-12)
+
+    def test_vectors_stay_out_of_json_and_repr(self, xi):
+        result = ground_state(xi(), 1, 4)
+        assert result.sector_vectors is not None
+        assert "sector_vectors" not in repr(result)
+        assert "sector_vectors" not in result.to_json_dict()
 
 
 class TestAtomNumberTrend:
@@ -445,9 +540,11 @@ def _whole_sector_reference(system, atoms, cutoffs, rwa, tol):
     return energies[winner], winner
 
 
-_systems = st.builds(
-    lambda seed, n, zero: (random_system(np.random.default_rng(seed), n), zero),
-    st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(0, 63))
+def _systems(levels):
+    return st.builds(
+        lambda seed, n, zero: (random_system(np.random.default_rng(seed), n),
+                               zero),
+        st.integers(0, 2 ** 32 - 1), levels, st.integers(0, 63))
 
 
 def _with_zeros(system, zero):
@@ -462,7 +559,7 @@ class TestSolverProperties:
 
     @settings(max_examples=50, deadline=None, derandomize=True,
               database=None)
-    @given(drawn=_systems, atoms=st.integers(1, 2), rwa=st.booleans(),
+    @given(drawn=_systems(st.integers(2, 4)), atoms=st.integers(1, 2), rwa=st.booleans(),
            cut=st.integers(1, 5))
     def test_ground_state_matches_whole_sector_dense(self, drawn, atoms,
                                                      rwa, cut):
@@ -477,7 +574,7 @@ class TestSolverProperties:
 
     @settings(max_examples=50, deadline=None, derandomize=True,
               database=None)
-    @given(drawn=_systems, atoms=st.integers(1, 3), rwa=st.booleans(),
+    @given(drawn=_systems(st.integers(2, 4)), atoms=st.integers(1, 3), rwa=st.booleans(),
            cut=st.integers(1, 5))
     def test_no_element_crosses_a_sector(self, drawn, atoms, rwa, cut):
         system, zero = drawn
@@ -489,3 +586,24 @@ class TestSolverProperties:
         H = build_hamiltonian(system, basis, rwa=rwa).tocoo()
         nonzero = H.data != 0.0
         assert np.array_equal(owner[H.row[nonzero]], owner[H.col[nonzero]])
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(drawn=_systems(st.sampled_from([3, 2])), atoms=st.integers(1, 2), rwa=st.booleans(),
+           start=st.integers(1, 3))
+    def test_converge_cutoff_matches_cold_solve(self, drawn, atoms, rwa,
+                                                start):
+        system, zero = drawn
+        system = _with_zeros(system, zero)
+        config = SolverConfig(dense_threshold=8, boundary_threshold=1e-6)
+        try:
+            cut, result = converge_cutoff(system, atoms, start, tol=1e-6,
+                                          rwa=rwa, config=config,
+                                          budget=30_000)
+        except BudgetError:
+            assume(False)
+        cold = ground_state(system, atoms, cut, rwa=rwa, config=config)
+        assert cut == cold.cutoffs
+        assert result.sector == cold.sector
+        assert result.degenerate_sectors == cold.degenerate_sectors
+        assert result.energy == pytest.approx(cold.energy, abs=1e-12)
