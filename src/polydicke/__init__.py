@@ -31,7 +31,6 @@ from .variational import (
     gradient,
     minimize,
     minimize_numeric,
-    optimal_phases,
     photon_stationary_r,
     reduced_energy,
     variational_state_params,

@@ -11,8 +11,6 @@ as a cross-check and the worst disagreement is recorded on the curve.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -296,20 +294,22 @@ class PhaseGrid:
         return {p: self.axis_values[m][index[m]] for m, p in enumerate(self.axes)}
 
     def to_csv(self, header_lines: Sequence[str] = ()) -> str:
-        """CSV text: one row per cell, columns mu_j_k ..., region, energy."""
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"mu_{p[0]}_{p[1]}" for p in self.axes]
-                        + ["region", "energy"])
-        for index in np.ndindex(*self.shape):
-            row = [repr(self.axis_values[m][index[m]])
-                   for m in range(len(self.axes))]
-            row.append(self.labels[index])
-            row.append(repr(float(self.energies[index])))
-            writer.writerow(row)
-        return buf.getvalue()
+        """CSV text: one row per cell, columns mu_j_k ..., region, energy.
+
+        Fields are float reprs and region tags, none of which needs CSV
+        quoting, so rows are plain comma joins.
+        """
+        cells = np.indices(self.shape).reshape(len(self.shape), -1)
+        columns = [
+            np.array(list(map(repr, values)), dtype=object)[at].tolist()
+            for values, at in zip(self.axis_values, cells)
+        ]
+        columns.append(self.labels.ravel().tolist())
+        columns.append(list(map(repr, self.energies.ravel().tolist())))
+        header = [f"mu_{p[0]}_{p[1]}" for p in self.axes] + ["region", "energy"]
+        lines = [f"# {line}" for line in header_lines] + [",".join(header)]
+        lines.extend(map(",".join, zip(*columns)))
+        return "\n".join(lines) + "\n"
 
 
 def scan_grid(system: AtomicSystem,

@@ -2,25 +2,35 @@
 
 The basis is the raw occupation basis |nu_1.., n_1..> (photon numbers per
 mode up to a cutoff, one atomic composition per ket), enumerated
-lexicographically.  The Hamiltonian is assembled from Kronecker products of
-per-mode ladder matrices and collective atomic hop matrices, which makes it
-exactly real symmetric; amplitudes that would leave the truncation are
-dropped by construction and their damage is measured after the solve as the
-ground-state weight sitting on saturated photon states.
+lexicographically.  One kernel (`_hamiltonian_entries`) lists the diagonal
+and the photon-creating coupling elements of the Hamiltonian by index
+arithmetic: adding a photon to a mode moves the basis index by a fixed
+stride, and the atom's hop by an offset read from the composition table.
+The matrix is exactly real symmetric; amplitudes that would leave the
+truncation are dropped by construction and their damage is measured after
+the solve as the ground-state weight sitting on saturated photon states.
 
 Every charge parity is conserved, so the basis splits into sectors that the
 Hamiltonian never connects; the global minimum over per-sector lowest
 eigenpairs is the exact ground state of the truncated problem.  Sectors are
-keyed by one integer per parity row.  Zero couplings and the rotating-wave
-charges split a sector further into connected components, which are solved
-by size:
+keyed by one integer per parity row.
+
+The full model builds the sparse matrix from the kernel, splits it into
+sectors, and splits each sector further into the connected components that
+zero couplings leave.  The rotating-wave model conserves every charge K_j
+itself, on any transition graph, cyclic ones included, and the photon number
+of every zero-coupled mode.  Its solve groups the kernel's entries straight
+into these blocks, with no sparse matrix and no component search, and skips
+every block whose Gershgorin lower bound lies more than the degeneracy
+tolerance above its sector's least diagonal element.  Blocks are solved by
+size:
 
 * single states are read off the diagonal;
-* several components of one size go through stacked NumPy eigenvalue
-  solves, in stacks no larger than one dense block at the dense threshold,
-  and only the lowest block gets an eigenvector solve;
-* any other component (or an unsplit sector) is solved densely up to the
-  dense threshold and with Lanczos above it.
+* blocks up to the dense threshold go through stacked NumPy eigenvalue
+  solves, in stacks no larger than one dense block at the threshold, and
+  only the winning blocks get an eigenvector solve;
+* an unsplit sector is solved densely up to the dense threshold, and any
+  larger block with Lanczos.
 
 The default threshold of 300 states sits at the measured crossover: on ξ
 sector blocks, one thread, the dense lowest-eigenpair solve takes 1.4 ms at
@@ -36,7 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 import scipy.linalg
@@ -188,27 +199,59 @@ def build_basis(system: AtomicSystem, atom_count: int,
                           n_levels=system.n, atomic_kets=tuple(atomic))
 
 
-def _atomic_hop(basis: TruncatedBasis, j: int, k: int) -> sp.csr_matrix:
-    """Collective hop b_j^dag b_k on the atomic compositions (1-based j, k)."""
-    rows, cols, vals = [], [], []
-    index = basis._atomic_index
-    for i, ket in enumerate(basis.atomic_kets):
-        if ket[k - 1] > 0:
-            target = list(ket)
-            target[k - 1] -= 1
-            target[j - 1] += 1
-            rows.append(index[tuple(target)])
-            cols.append(i)
-            vals.append(math.sqrt((ket[j - 1] + 1) * ket[k - 1]))
-    dim = basis.atomic_dim
-    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
+                         rwa: bool) -> Tuple[np.ndarray, np.ndarray,
+                                             np.ndarray, np.ndarray]:
+    """Diagonal and coupling entries of the truncated Hamiltonian.
 
+    Returns (diag, rows, cols, vals): diag[i] = H_ii for every basis index,
+    and H[rows, cols] = vals for each coupling element whose target (row)
+    holds one photon more than its source (column).  The rest of H is the
+    transpose of these.  A photon added to mode m moves the index by that
+    mode's stride times atomic_dim; the atom's hop moves it by the offset
+    between two rows of the composition table.
+    """
+    A = basis.atomic_dim
+    occ = np.array(basis.atomic_kets, dtype=np.int64)
+    photons = basis.nu_columns()[::A]
+    photon_energy = np.zeros(len(photons))
+    for m, p in enumerate(basis.pairs):
+        photon_energy += system.transition(p).Omega * photons[:, m]
+    atom_energy = np.zeros(A)
+    for j in range(basis.n_levels):
+        atom_energy += system.omega[j] * occ[:, j]
+    diag = (photon_energy[:, np.newaxis] + atom_energy).ravel()
 
-def _kron_chain(ops: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    out = ops[0]
-    for op in ops[1:]:
-        out = sp.kron(out, op, format="csr")
-    return out
+    strides = np.cumprod((1,) + basis.mode_dims[:0:-1])[::-1] * A
+    # 32-bit indices, as the sparse matrices use, halve the index memory
+    index = np.int32 if basis.size <= np.iinfo(np.int32).max else np.int64
+    scale = 1.0 / math.sqrt(basis.atom_count)
+    rows, cols, vals = [np.zeros(0, index)], [np.zeros(0, index)], [diag[:0]]
+    for m, p in enumerate(basis.pairs):
+        t = system.transition(p)
+        if t.mu == 0.0:
+            continue
+        src = np.flatnonzero(photons[:, m] < basis.cutoffs[m]).astype(index)
+        ladder = np.sqrt(photons[src, m] + 1.0)
+        # b_j^dag b_k a^dag drops an atom as it emits (kept under rwa);
+        # b_k^dag b_j a^dag raises one (counter-rotating)
+        hops = ((t.j, t.k),) if rwa else ((t.j, t.k), (t.k, t.j))
+        for dst, gone in hops:
+            a = np.flatnonzero(occ[:, gone - 1] > 0)
+            moved = occ[a]
+            moved[:, gone - 1] -= 1
+            moved[:, dst - 1] += 1
+            # the table is lexicographic and holds every moved composition,
+            # so its sorted unique rows are the table itself
+            target = np.unique(np.concatenate([occ, moved]), axis=0,
+                               return_inverse=True)[1].ravel()[A:]
+            hop = np.sqrt((occ[a, dst - 1] + 1) * occ[a, gone - 1])
+            source = (src[:, np.newaxis] * A + a.astype(index)).ravel()
+            cols.append(source)
+            rows.append(source + np.tile(
+                (int(strides[m]) + target - a).astype(index), len(src)))
+            vals.append(-(t.mu * scale) * (ladder[:, np.newaxis] * hop).ravel())
+    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
@@ -219,41 +262,16 @@ def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
     -(mu/sqrt(N_a)) (A_jk + A_kj)(a + a^dag) with the usual bosonic matrix
     elements; with rwa set, only the excitation-preserving half
     A_jk a^dag + A_kj a (photon created when the atom drops) is kept.
+    Amplitudes that would leave the truncation are dropped.
     """
     require_valid(system)
-    dims = basis.mode_dims
-    eye_f = [sp.identity(d, format="csr") for d in dims]
-    eye_a = sp.identity(basis.atomic_dim, format="csr")
-
-    def placed(mode: int, fop: sp.spmatrix, aop: sp.spmatrix) -> sp.csr_matrix:
-        ops = list(eye_f)
-        ops[mode] = fop
-        return _kron_chain(ops + [aop])
-
-    H = None
-    for m, p in enumerate(basis.pairs):
-        term = system.transition(p).Omega * placed(
-            m, sp.diags(np.arange(dims[m], dtype=float)), eye_a)
-        H = term if H is None else H + term
-    atom_diag = sp.diags([
-        float(sum(system.omega[j] * ket[j] for j in range(basis.n_levels)))
-        for ket in basis.atomic_kets
-    ])
-    H = H + _kron_chain(eye_f + [atom_diag])
-
-    scale = 1.0 / math.sqrt(basis.atom_count)
-    for m, p in enumerate(basis.pairs):
-        t = system.transition(p)
-        if t.mu == 0.0 or dims[m] == 1:
-            continue
-        a = sp.diags(np.sqrt(np.arange(1, dims[m], dtype=float)), 1)
-        hop = _atomic_hop(basis, t.j, t.k)
-        if rwa:
-            term = placed(m, a.T, hop) + placed(m, a, hop.T)
-        else:
-            term = placed(m, (a + a.T).tocsr(), (hop + hop.T).tocsr())
-        H = H - (t.mu * scale) * term
-    return H.tocsr()
+    diag, rows, cols, vals = _hamiltonian_entries(system, basis, rwa)
+    states = np.arange(basis.size, dtype=rows.dtype)
+    return sp.csr_matrix(
+        (np.concatenate([diag, vals, vals]),
+         (np.concatenate([states, rows, cols]),
+          np.concatenate([states, cols, rows]))),
+        shape=(basis.size, basis.size))
 
 
 @dataclass(frozen=True)
@@ -271,24 +289,31 @@ class SymmetrySector:
     indices: np.ndarray
 
 
-def split_sectors(system: AtomicSystem,
-                  basis: TruncatedBasis) -> List[SymmetrySector]:
-    """Partition the basis by the parities of every level charge.
-
-    The partition depends only on the basis, never on couplings, and the
-    Hamiltonian has no matrix element between different classes.
-    """
-    require_valid(system)
+def _charges(basis: TruncatedBasis) -> np.ndarray:
+    """(size, n_levels) charge vector K of every basis index."""
     nu_cols = basis.nu_columns()
     K = basis.occupation_columns()
     for m, (j, k) in enumerate(basis.pairs):
         K[:, k - 1] += nu_cols[:, m]
         K[:, j - 1] -= nu_cols[:, m]
+    return K
+
+
+def _parity_sectors(system: AtomicSystem, K: np.ndarray,
+                    ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """Parity class of every row of charge vectors K, and the class names.
+
+    Returns (sector, parity, labels): the class of each row, numbered in
+    ascending integer key, and the parity tuple and name of each class.
+    The two-letter name (parity of the total excitation number, parity of
+    the top-level charge) is used when it separates the classes of these
+    rows; otherwise the name spells out every charge parity.
+    """
     parity = np.mod(K, 2)
     # one integer per parity row: bit j holds the parity of level j + 1
-    code = parity @ (1 << np.arange(basis.n_levels, dtype=np.int64))
-    _, first, inverse = np.unique(code, return_index=True,
-                                  return_inverse=True)
+    code = parity @ (1 << np.arange(K.shape[1], dtype=np.int64))
+    _, first, sector = np.unique(code, return_index=True,
+                                 return_inverse=True)
     names = parity[first]
     try:
         lam = np.array(excitation_weights(system).lam, dtype=np.int64)
@@ -299,14 +324,25 @@ def split_sectors(system: AtomicSystem,
             names = np.stack([short[first] // 2, short[first] % 2], axis=1)
     except WeightError:
         pass
+    labels = ["".join("eo"[v] for v in name) for name in names]
+    return sector, parity[first], labels
 
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse))[:-1]
+
+def split_sectors(system: AtomicSystem,
+                  basis: TruncatedBasis) -> List[SymmetrySector]:
+    """Partition the basis by the parities of every level charge.
+
+    The partition depends only on the basis, never on couplings, and the
+    Hamiltonian has no matrix element between different classes.
+    """
+    require_valid(system)
+    sector, parity, labels = _parity_sectors(system, _charges(basis))
+    order = np.argsort(sector, kind="stable")
+    bounds = np.cumsum(np.bincount(sector))[:-1]
     sectors = [
-        SymmetrySector(label="".join("eo"[v] for v in name),
-                       parity=tuple(int(v) for v in parity[i]),
+        SymmetrySector(label=label, parity=tuple(int(v) for v in row),
                        indices=ix)
-        for name, i, ix in zip(names, first, np.split(order, bounds))
+        for label, row, ix in zip(labels, parity, np.split(order, bounds))
     ]
     sectors.sort(key=lambda s: s.label)
     return sectors
@@ -330,9 +366,10 @@ class SolverConfig:
 class SectorVectors:
     """Lowest vector of every sector of one solve, keyed by parity tuple.
 
-    Each entry holds the sector's global basis indices (ascending) and its
-    lowest vector on them.  A finer solve of the same problem embeds these
-    as Lanczos start vectors.
+    Each entry holds global basis indices (ascending) and the sector's
+    lowest vector on them: the whole sector in the full model, the winning
+    charge block under rwa.  A finer full-model solve of the same problem
+    embeds these as Lanczos start vectors.
     """
 
     basis: TruncatedBasis
@@ -403,78 +440,203 @@ def _lowest_eigenpair_irreducible(H: sp.csr_matrix, config: SolverConfig,
     return float(vals[0]), vecs[:, 0]
 
 
+class _Blocks:
+    """A real symmetric matrix that is block diagonal, solved block by block.
+
+    block[i] numbers the block of state i; diag holds the diagonal, and
+    (rows, cols, vals) every off-diagonal element once, at one of its two
+    mirror positions.  No element joins two blocks.  Within a block, states
+    keep ascending index order.  config supplies the dense threshold and the
+    Lanczos settings.
+    """
+
+    def __init__(self, block: np.ndarray, n_blocks: int, diag: np.ndarray,
+                 rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 config: SolverConfig):
+        self.diag, self.rows, self.cols, self.vals = diag, rows, cols, vals
+        self.config = config
+        self.sizes = np.bincount(block, minlength=n_blocks)
+        self.order = np.argsort(block, kind="stable")
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.local = np.empty_like(self.order)
+        self.local[self.order] = (np.arange(len(block))
+                                  - self.starts[block[self.order]])
+        self.entry_block = block[rows]
+        self._vectors: Dict[int, np.ndarray] = {}  # Lanczos results
+
+    def members(self, b: int) -> np.ndarray:
+        return self.order[self.starts[b]:self.starts[b] + self.sizes[b]]
+
+    def _dense(self, blocks: np.ndarray, entries: np.ndarray,
+               slots: np.ndarray) -> np.ndarray:
+        """Stack of equal-size blocks; entries[i] lies in blocks[slots[i]]."""
+        m = self.sizes[blocks[0]]
+        stack = np.zeros((len(blocks), m, m))
+        r = self.local[self.rows[entries]]
+        c = self.local[self.cols[entries]]
+        stack[slots, r, c] = self.vals[entries]
+        stack[slots, c, r] = self.vals[entries]
+        on = np.arange(m)
+        stack[:, on, on] = self.diag[
+            self.order[self.starts[blocks][:, np.newaxis] + on]]
+        return stack
+
+    def matrix(self, b: int) -> Union[np.ndarray, sp.csr_matrix]:
+        """Block b: sparse above the dense threshold, dense otherwise."""
+        entries = np.flatnonzero(self.entry_block == b)
+        if self.sizes[b] <= self.config.dense_threshold:
+            return self._dense(np.array([b]), entries,
+                               np.zeros(len(entries), dtype=np.int64))[0]
+        r = self.local[self.rows[entries]]
+        c = self.local[self.cols[entries]]
+        on = np.arange(self.sizes[b])
+        return sp.csr_matrix(
+            (np.concatenate([self.diag[self.members(b)],
+                             self.vals[entries], self.vals[entries]]),
+             (np.concatenate([on, r, c]), np.concatenate([on, c, r]))),
+            shape=(len(on), len(on)))
+
+    def lowest(self, seed: int,
+               todo: Optional[np.ndarray] = None) -> np.ndarray:
+        """Lowest eigenvalue of every block with todo set, +inf elsewhere.
+
+        Single states are read off the diagonal.  Blocks up to the dense
+        threshold go through stacked NumPy solves, each stack holding at
+        most as many entries as one block at the threshold; larger blocks
+        go through Lanczos one by one, block b from a start seeded by
+        seed + 7919 (b + 1).
+        """
+        config = self.config
+        n = len(self.sizes)
+        todo = np.ones(n, dtype=bool) if todo is None else todo
+        energies = np.full(n, math.inf)
+        single = todo & (self.sizes == 1)
+        energies[single] = self.diag[self.order[self.starts[single]]]
+        entry_size = np.where(todo[self.entry_block],
+                              self.sizes[self.entry_block], 0)
+        for m in np.unique(self.sizes[todo & (self.sizes > 1)]):
+            blocks = np.flatnonzero(todo & (self.sizes == m))
+            if m > config.dense_threshold:
+                for b in blocks:
+                    energies[b], self._vectors[b] = (
+                        _lowest_eigenpair_irreducible(
+                            self.matrix(b), config, seed + 7919 * (b + 1)))
+                continue
+            per_call = (config.dense_threshold // m) ** 2
+            slot = np.full(n, -1)
+            slot[blocks] = np.arange(len(blocks))
+            mine = np.flatnonzero(entry_size == m)
+            mine = mine[np.argsort(slot[self.entry_block[mine]],
+                                   kind="stable")]
+            entry_slot = slot[self.entry_block[mine]]
+            for lo in range(0, len(blocks), per_call):
+                hi = min(lo + per_call, len(blocks))
+                a, b = np.searchsorted(entry_slot, [lo, hi])
+                stack = self._dense(blocks[lo:hi], mine[a:b],
+                                    entry_slot[a:b] - lo)
+                energies[blocks[lo:hi]] = np.linalg.eigvalsh(stack)[:, 0]
+        return energies
+
+    def vector(self, b: int) -> np.ndarray:
+        """Lowest eigenvector of a block already passed through `lowest`."""
+        if self.sizes[b] == 1:
+            return np.ones(1)
+        if b in self._vectors:
+            return self._vectors[b]
+        return np.linalg.eigh(self.matrix(b))[1][:, 0]
+
+
 def _lowest_eigenpair(H: sp.csr_matrix, config: SolverConfig,
                       sector_seed: int, v0: Optional[np.ndarray] = None,
                       ) -> Tuple[float, np.ndarray]:
-    """Lowest eigenpair of one sector block, which holds no stored zeros.
+    """Lowest eigenpair of one exactly symmetric sector block.
 
-    Zero couplings and the rotating-wave charges leave extra conserved
+    The block holds no stored zeros.  Zero couplings leave extra conserved
     quantities, so a sector can itself be block diagonal; Lanczos from a
     single start vector may lose weight on exactly decoupled blocks.  The
     sparsity graph's connected components make that split explicit, and the
-    minimum over per-component solves is exact.  Components are solved by
-    size: single states are read off the diagonal, blocks of one size of
-    which at least two fit in a dense block of dense_threshold states go
-    through stacked eigenvalue solves, and the rest are solved one by one.
-    Among equal energies the component with the lowest label wins.  The
-    start vector v0 is used only when the block is one connected component
-    that goes through Lanczos.
+    minimum over per-component solves (`_Blocks.lowest`) is exact.  Among
+    equal energies the component with the lowest label, which holds the
+    lowest index, wins.  The start vector v0 is used only when the block is
+    one connected component that goes through Lanczos.
     """
     n_comp, membership = connected_components(H, directed=False)
     if n_comp == 1:
         return _lowest_eigenpair_irreducible(H, config, sector_seed, v0)
-    sizes = np.bincount(membership)
-    # states grouped by component, ascending within each
-    order = np.argsort(membership, kind="stable")
-    offsets = np.cumsum(sizes) - sizes
-    local = np.empty_like(order)
-    local[order] = np.arange(len(order)) - offsets[membership[order]]
     coo = H.tocoo()
-    entry_comp = membership[coo.row]
-    diagonal = H.diagonal()
-
-    best = (math.inf, n_comp, None)  # (energy, component, local vector)
-
-    def offer(energies: np.ndarray, comps: np.ndarray, vectors) -> None:
-        nonlocal best
-        i = int(np.argmin(energies))
-        if (energies[i], comps[i]) < best[:2]:
-            best = (float(energies[i]), int(comps[i]), vectors(i))
-
-    for m in np.unique(sizes):
-        comps = np.flatnonzero(sizes == m)
-        if m == 1:
-            offer(diagonal[order[offsets[comps]]], comps,
-                  lambda i: np.ones(1))
-            continue
-        # a stack holds at most as many entries as one threshold-size block
-        per_call = (config.dense_threshold // m) ** 2
-        if len(comps) == 1 or per_call < 2:
-            for c in comps:
-                idx = order[offsets[c]:offsets[c] + m]
-                energy, vec = _lowest_eigenpair_irreducible(
-                    H[idx][:, idx], config, sector_seed + 7919 * (c + 1))
-                offer(np.array([energy]), np.array([c]), lambda i: vec)
-            continue
-        slot = np.full(n_comp, -1)
-        slot[comps] = np.arange(len(comps))
-        mine = np.flatnonzero(sizes[entry_comp] == m)
-        mine = mine[np.argsort(slot[entry_comp[mine]], kind="stable")]
-        entry_slot = slot[entry_comp[mine]]
-        for lo in range(0, len(comps), per_call):
-            hi = min(lo + per_call, len(comps))
-            a, b = np.searchsorted(entry_slot, [lo, hi])
-            e = mine[a:b]
-            blocks = np.zeros((hi - lo, m, m))
-            blocks[entry_slot[a:b] - lo, local[coo.row[e]],
-                   local[coo.col[e]]] = coo.data[e]
-            offer(np.linalg.eigvalsh(blocks)[:, 0], comps[lo:hi],
-                  lambda i: np.linalg.eigh(blocks[i])[1][:, 0])
-
-    energy, comp, vec = best
+    lower = coo.row > coo.col
+    blocks = _Blocks(membership, n_comp, H.diagonal(), coo.row[lower],
+                     coo.col[lower], coo.data[lower], config)
+    energies = blocks.lowest(sector_seed)
+    comp = int(np.argmin(energies))
     full = np.zeros(H.shape[0])
-    full[order[offsets[comp]:offsets[comp] + sizes[comp]]] = vec
-    return energy, full
+    full[blocks.members(comp)] = blocks.vector(comp)
+    return float(energies[comp]), full
+
+
+def _packed_key(columns: np.ndarray) -> np.ndarray:
+    """One int64 per row of an integer array, equal exactly for equal rows."""
+    key = np.zeros(len(columns), dtype=np.int64)
+    for col in columns.T:
+        col = col - col.min()
+        span = int(col.max()) + 1
+        if (int(key.max()) + 1) * span > np.iinfo(np.int64).max:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * span + col
+    return key
+
+
+class _SectorSolve(NamedTuple):
+    """Lowest eigenpair of one sector, on the basis indices it occupies."""
+
+    label: str
+    parity: Tuple[int, ...]
+    energy: float
+    indices: np.ndarray
+    vector: np.ndarray
+    matrix: Union[np.ndarray, sp.csr_matrix]   # the block on those indices
+
+
+def _charge_block_solves(system: AtomicSystem, basis: TruncatedBasis,
+                         config: SolverConfig) -> List[_SectorSolve]:
+    """Lowest eigenpair of every parity sector of the rotating-wave problem.
+
+    The rotating-wave Hamiltonian conserves every charge K_j, on any
+    transition graph, and the photon number of every zero-coupled mode, so
+    it is block diagonal in these numbers.  A block whose Gershgorin lower
+    bound exceeds the least diagonal element of its sector (an upper bound
+    on the sector's lowest eigenvalue) by more than the degeneracy tolerance
+    can neither hold nor tie the sector minimum, and is not solved.  Among
+    equal energies the block holding the lowest basis index wins.
+    """
+    diag, rows, cols, vals = _hamiltonian_entries(system, basis, rwa=True)
+    K = _charges(basis)
+    zero = [m for m, p in enumerate(basis.pairs)
+            if system.transition(p).mu == 0.0]
+    _, first, block = np.unique(
+        _packed_key(np.hstack([K, basis.nu_columns()[:, zero]])),
+        return_index=True, return_inverse=True)
+    blocks = _Blocks(block, len(first), diag, rows, cols, vals, config)
+    sector, parity, labels = _parity_sectors(system, K[first])
+
+    weight = np.abs(vals)
+    radius = (np.bincount(rows, weight, basis.size)
+              + np.bincount(cols, weight, basis.size))
+    floor = np.minimum.reduceat((diag - radius)[blocks.order], blocks.starts)
+    least = np.full(len(labels), math.inf)
+    np.minimum.at(least, sector,
+                  np.minimum.reduceat(diag[blocks.order], blocks.starts))
+    energies = blocks.lowest(
+        0, todo=floor <= least[sector] + config.degeneracy_tol)
+
+    found = []
+    for s, label in enumerate(labels):
+        mine = np.flatnonzero(sector == s)
+        b = mine[np.lexsort((first[mine], energies[mine]))[0]]
+        found.append(_SectorSolve(
+            label, tuple(int(v) for v in parity[s]), float(energies[b]),
+            blocks.members(b), blocks.vector(b), blocks.matrix(b)))
+    return found
 
 
 def _embed_indices(coarse: TruncatedBasis, fine: TruncatedBasis,
@@ -490,13 +652,13 @@ def _embed_indices(coarse: TruncatedBasis, fine: TruncatedBasis,
 
 
 def _start_vectors(start: Optional[QuantumGroundResult],
-                   basis: TruncatedBasis, rwa: bool,
+                   basis: TruncatedBasis,
                    sectors: Sequence[SymmetrySector],
                    ) -> List[Optional[np.ndarray]]:
-    """Lanczos start vector for each sector from a coarser solve, or None.
+    """Lanczos start vector for each full-model sector from a coarser solve.
 
-    A start applies only to the same problem on a basis no finer than this
-    one; sectors are matched by parity, since the two-letter labels are
+    A start applies only to the same full-model problem on a basis no finer
+    than this one, and gives None elsewhere; sectors are matched by parity, since the two-letter labels are
     chosen per basis.  Every validated mu is nonnegative, so every
     off-diagonal element is <= 0, and the lowest vector of a connected block
     is strictly positive (Perron-Frobenius).  The coarse vector is one-signed
@@ -507,7 +669,7 @@ def _start_vectors(start: Optional[QuantumGroundResult],
     if coarse is None:
         return [None] * len(sectors)
     cb = coarse.basis
-    if (coarse.rwa != rwa or cb.pairs != basis.pairs
+    if (coarse.rwa or cb.pairs != basis.pairs
             or cb.atom_count != basis.atom_count
             or cb.n_levels != basis.n_levels
             or any(f < c for f, c in zip(basis.cutoffs, cb.cutoffs))):
@@ -538,45 +700,50 @@ def ground_state(system: AtomicSystem, atom_count: int,
 
     Deterministic for a fixed config seed and a fixed start.  Sectors within
     the degeneracy tolerance of the minimum are all reported; observables
-    come from the lexicographically first of them.  The result keeps every
-    sector's lowest vector; passed back as `start` to a solve of the same
-    problem (pairs, atom count, rwa) with no cutoff lower, they start its
-    Lanczos solves, and any other start is ignored.  Raises a RuntimeError
+    come from the lexicographically first of them.  With rwa set, the
+    sectors are solved as conserved-charge blocks (`_charge_block_solves`)
+    and no sparse Hamiltonian is built.  The result keeps every sector's
+    lowest vector; passed back as `start` to a full-model solve of the same
+    problem (pairs, atom count) with no cutoff lower, they start its Lanczos
+    solves, and any other start is ignored.  Raises a RuntimeError
     with the residual norm if an iterative solve fails to converge.
     """
     require_valid(system)
     config = config or SolverConfig()
     basis = build_basis(system, atom_count, cutoffs, budget=budget)
-    H = build_hamiltonian(system, basis, rwa=rwa)
-    H.eliminate_zeros()
-    sectors = split_sectors(system, basis)
-    starts = _start_vectors(start, basis, rwa, sectors)
-
-    found: List[Tuple[str, float, np.ndarray, np.ndarray, sp.csr_matrix]] = []
-    vectors: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
-    for s_index, (sector, v0) in enumerate(zip(sectors, starts)):
-        Hs = H[sector.indices][:, sector.indices]
+    if rwa:
         try:
-            energy, vec = _lowest_eigenpair(Hs, config, s_index, v0)
+            found = _charge_block_solves(system, basis, config)
         except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
             raise RuntimeError(
-                f"eigensolver failed to converge in sector {sector.label}: {exc}"
+                f"eigensolver failed to converge in a charge block: {exc}"
             ) from exc
-        found.append((sector.label, energy, vec, sector.indices, Hs))
-        vectors[sector.parity] = (sector.indices, vec)
+    else:
+        H = build_hamiltonian(system, basis)
+        H.eliminate_zeros()
+        sectors = split_sectors(system, basis)
+        starts = _start_vectors(start, basis, sectors)
+        found = []
+        for s_index, (sector, v0) in enumerate(zip(sectors, starts)):
+            Hs = H[sector.indices][:, sector.indices]
+            try:
+                energy, vec = _lowest_eigenpair(Hs, config, s_index, v0)
+            except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
+                raise RuntimeError(
+                    f"eigensolver failed to converge in sector "
+                    f"{sector.label}: {exc}") from exc
+            found.append(_SectorSolve(sector.label, sector.parity, energy,
+                                      sector.indices, vec, Hs))
 
-    found.sort(key=lambda item: (item[1], item[0]))
-    e_min = found[0][1]
+    found.sort(key=lambda item: (item.energy, item.label))
+    e_min = found[0].energy
     degenerate = tuple(sorted(
-        item[0] for item in found if item[1] - e_min <= config.degeneracy_tol
-    ))
-    winner = min(
-        (item for item in found if item[1] - e_min <= config.degeneracy_tol),
-        key=lambda item: item[0],
-    )
-    label, energy, vec, indices, Hs = winner
+        item.label for item in found
+        if item.energy - e_min <= config.degeneracy_tol))
+    winner = next(item for item in found if item.label == degenerate[0])
+    energy, indices, vec = winner.energy, winner.indices, winner.vector
 
-    residual = float(np.linalg.norm(Hs @ vec - energy * vec)
+    residual = float(np.linalg.norm(winner.matrix @ vec - energy * vec)
                      / np.linalg.norm(vec))
     weights = vec * vec
     weights = weights / weights.sum()
@@ -598,8 +765,9 @@ def ground_state(system: AtomicSystem, atom_count: int,
 
     return QuantumGroundResult(
         energy=energy / atom_count,
-        sector=label,
-        sector_energies={item[0]: item[1] / atom_count for item in found},
+        sector=winner.label,
+        sector_energies={item.label: item.energy / atom_count
+                         for item in found},
         degenerate_sectors=degenerate,
         nu=nu,
         populations=populations,
@@ -608,7 +776,10 @@ def ground_state(system: AtomicSystem, atom_count: int,
         boundary_weight=boundary_weight,
         residual=residual,
         converged=boundary_weight <= config.boundary_threshold,
-        sector_vectors=SectorVectors(basis=basis, rwa=rwa, vectors=vectors),
+        sector_vectors=SectorVectors(
+            basis=basis, rwa=rwa,
+            vectors={item.parity: (item.indices, item.vector)
+                     for item in found}),
     )
 
 

@@ -64,12 +64,6 @@ class MatterAmplitudes:
 
 
 @dataclass(frozen=True)
-class OptimalPhases:
-    theta: Dict[Pair, float]
-    phi: Dict[int, float]
-
-
-@dataclass(frozen=True)
 class VariationalCandidate:
     """One closed-form critical point of the reduced energy surface.
 
@@ -160,21 +154,6 @@ def energy_surface_full(system: AtomicSystem, field: FieldAmplitudes,
             / denom
         )
     return energy
-
-
-def optimal_phases(system: AtomicSystem) -> OptimalPhases:
-    """Canonical minimizing phases: theta = 0 and equal matter phases.
-
-    The minimum set is theta, (phi_k - phi_j) in {0, pi} with the product of
-    cosines positive; the all-zero representative is returned so coherent
-    amplitudes stay positive.  Pairs with mu = 0 are unconstrained and also
-    reported as 0.
-    """
-    require_valid(system)
-    return OptimalPhases(
-        theta={p: 0.0 for p in system.pairs},
-        phi={k: 0.0 for k in range(2, system.n + 1)},
-    )
 
 
 def photon_stationary_r(system: AtomicSystem,

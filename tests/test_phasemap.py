@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -18,6 +20,41 @@ from polydicke import (
 
 MU_STAR_12 = 0.5
 MU_STAR_23 = math.sqrt(0.5) * (1.0 + math.sqrt(1.3)) / 2.0   # 0.7566662780
+
+
+# 1-, 2- and 3-axis grids, with and without rwa
+GRIDS = pytest.mark.parametrize("config, fixed, axes, res, rwa", [
+    ("xi", {}, [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0))], 9, False),
+    ("xi", {}, [((1, 2), (0.0, 3.0)), ((2, 3), (0.0, 3.0))], 13, True),
+    ("xi", {(2, 3): 0.9}, [((1, 2), (0.0, 2.0))], 41, False),
+    ("xi", {(1, 2): 1.3}, [((2, 3), (0.0, 3.0))], 41, True),
+    ("cascade4", {},
+     [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0)), ((3, 4), (0.0, 2.0))],
+     (7, 8, 9), False),
+    ("cascade4", {(2, 3): 1.4},
+     [((3, 4), (0.0, 3.0)), ((1, 2), (0.0, 3.0))], 17, True),
+    ("cascade4", {},
+     [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 1e-5)), ((3, 4), (0.0, 2.0))],
+     (4, 3, 5), True),
+], ids=["xi", "xi-rwa", "xi-fixed", "xi-fixed-rwa", "cascade4-3axes",
+        "cascade4-fixed-rwa", "cascade4-3axes-rwa"])
+
+
+def _csv_per_cell(grid, header_lines=()):
+    """The per-cell writer that PhaseGrid.to_csv replaced."""
+    buf = io.StringIO()
+    for line in header_lines:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"mu_{p[0]}_{p[1]}" for p in grid.axes]
+                    + ["region", "energy"])
+    for index in np.ndindex(*grid.shape):
+        row = [repr(grid.axis_values[m][index[m]])
+               for m in range(len(grid.axes))]
+        row.append(grid.labels[index])
+        row.append(repr(float(grid.energies[index])))
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def cascade_path(system, pair, fixed):
@@ -158,18 +195,7 @@ class TestScanGrid:
             label = RegionLabel.parse(tag)
             assert label.is_normal or label.pair in xi().pairs
 
-    @pytest.mark.parametrize("config, fixed, axes, res, rwa", [
-        ("xi", {}, [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0))], 9, False),
-        ("xi", {}, [((1, 2), (0.0, 3.0)), ((2, 3), (0.0, 3.0))], 13, True),
-        ("xi", {(2, 3): 0.9}, [((1, 2), (0.0, 2.0))], 41, False),
-        ("xi", {(1, 2): 1.3}, [((2, 3), (0.0, 3.0))], 41, True),
-        ("cascade4", {},
-         [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0)), ((3, 4), (0.0, 2.0))],
-         (7, 8, 9), False),
-        ("cascade4", {(2, 3): 1.4},
-         [((3, 4), (0.0, 3.0)), ((1, 2), (0.0, 3.0))], 17, True),
-    ], ids=["xi", "xi-rwa", "xi-fixed", "xi-fixed-rwa", "cascade4-3axes",
-            "cascade4-fixed-rwa"])
+    @GRIDS
     def test_label_energy_bit_for_bit(self, request, config, fixed, axes, res,
                                       rwa):
         system = request.getfixturevalue(config)().with_couplings(fixed)
@@ -227,6 +253,14 @@ class TestScanGrid:
             10,
         )
         assert set(grid.labels.ravel()) == {"N", "S_1_2", "S_2_3", "S_3_4"}
+
+    @GRIDS
+    def test_csv_matches_per_cell_writer(self, request, config, fixed, axes,
+                                         res, rwa):
+        system = request.getfixturevalue(config)().with_couplings(fixed)
+        grid = scan_grid(system, axes, res, rwa=rwa)
+        header = ["seed: 0", "rwa: " + str(rwa)]
+        assert grid.to_csv(header_lines=header) == _csv_per_cell(grid, header)
 
     def test_csv_deterministic(self, xi):
         grid = scan_grid(xi(), [((1, 2), (0.0, 1.0)), ((2, 3), (0.0, 1.0))], 5)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_system
@@ -18,6 +20,7 @@ from polydicke import (
     delta_nu,
     ground_state,
     minimize,
+    rwa_rescale,
     split_sectors,
     suggest_cutoffs,
 )
@@ -519,6 +522,22 @@ class TestComponentSolver:
         assert energy == pytest.approx(-1.0, abs=1e-14)
         assert np.flatnonzero(vec).tolist() == [0, 3]
 
+    def test_large_components_reach_lanczos_sparse(self, monkeypatch):
+        inputs = []
+        eigsh = quantum.eigsh
+
+        def recording(H, **kwargs):
+            inputs.append((H.shape[0], sp.issparse(H)))
+            return eigsh(H, **kwargs)
+
+        monkeypatch.setattr(quantum, "eigsh", recording)
+        H = _block_matrix(np.random.default_rng(3), [5, 5, 2, 1])
+        energy, vec = _lowest_eigenpair(H, SolverConfig(dense_threshold=3), 0)
+        assert inputs == [(5, True), (5, True)]
+        assert energy == pytest.approx(np.linalg.eigvalsh(H.toarray())[0],
+                                       abs=1e-12)
+        assert np.linalg.norm(H @ vec - energy * vec) <= 1e-10
+
     def test_tie_among_single_states(self):
         H = sp.csr_matrix(np.diag([2.0, -1.0, 0.5, -1.0]))
         energy, vec = _lowest_eigenpair(H, SolverConfig(), 0)
@@ -607,3 +626,229 @@ class TestSolverProperties:
         assert result.sector == cold.sector
         assert result.degenerate_sectors == cold.degenerate_sectors
         assert result.energy == pytest.approx(cold.energy, abs=1e-12)
+
+
+def _build_hamiltonian_reference(system, basis, rwa=False):
+    """The Kronecker-chain assembly that build_hamiltonian replaced."""
+    def atomic_hop(j, k):
+        index = {ket: i for i, ket in enumerate(basis.atomic_kets)}
+        rows, cols, vals = [], [], []
+        for i, ket in enumerate(basis.atomic_kets):
+            if ket[k - 1] > 0:
+                target = list(ket)
+                target[k - 1] -= 1
+                target[j - 1] += 1
+                rows.append(index[tuple(target)])
+                cols.append(i)
+                vals.append(math.sqrt((ket[j - 1] + 1) * ket[k - 1]))
+        dim = basis.atomic_dim
+        return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+    def kron_chain(ops):
+        out = ops[0]
+        for op in ops[1:]:
+            out = sp.kron(out, op, format="csr")
+        return out
+
+    dims = basis.mode_dims
+    eye_f = [sp.identity(d, format="csr") for d in dims]
+    eye_a = sp.identity(basis.atomic_dim, format="csr")
+
+    def placed(mode, fop, aop):
+        ops = list(eye_f)
+        ops[mode] = fop
+        return kron_chain(ops + [aop])
+
+    H = None
+    for m, p in enumerate(basis.pairs):
+        term = system.transition(p).Omega * placed(
+            m, sp.diags(np.arange(dims[m], dtype=float)), eye_a)
+        H = term if H is None else H + term
+    atom_diag = sp.diags([
+        float(sum(system.omega[j] * ket[j] for j in range(basis.n_levels)))
+        for ket in basis.atomic_kets
+    ])
+    H = H + kron_chain(eye_f + [atom_diag])
+    scale = 1.0 / math.sqrt(basis.atom_count)
+    for m, p in enumerate(basis.pairs):
+        t = system.transition(p)
+        if t.mu == 0.0 or dims[m] == 1:
+            continue
+        a = sp.diags(np.sqrt(np.arange(1, dims[m], dtype=float)), 1)
+        hop = atomic_hop(t.j, t.k)
+        if rwa:
+            term = placed(m, a.T, hop) + placed(m, a, hop.T)
+        else:
+            term = placed(m, (a + a.T).tocsr(), (hop + hop.T).tocsr())
+        H = H - (t.mu * scale) * term
+    return H.tocsr()
+
+
+class TestBuilderPinned:
+    @staticmethod
+    def _assert_same(system, atoms, cutoffs):
+        basis = build_basis(system, atoms, cutoffs)
+        for rwa in (False, True):
+            got = build_hamiltonian(system, basis, rwa=rwa)
+            want = _build_hamiltonian_reference(system, basis, rwa=rwa)
+            for H in (got, want):
+                H.eliminate_zeros()
+                H.sort_indices()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-14
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            system = random_system(rng, int(rng.integers(2, 5)))
+            system = _with_zeros(system, int(rng.integers(0, 64)))
+            cut = {p: int(rng.integers(0, 4)) for p in system.pairs}
+            self._assert_same(system, int(rng.integers(1, 4)), cut)
+
+    def test_triangle(self):
+        self._assert_same(_triangle(), 2, {(1, 2): 3, (1, 3): 2, (2, 3): 4})
+        self._assert_same(_triangle().with_couplings({(1, 3): 0.0}), 3, 2)
+
+
+def _component_route(system, atoms, cutoffs, config):
+    """Rotating-wave solve by sector and connected component, by hand."""
+    basis = build_basis(system, atoms, cutoffs)
+    H = build_hamiltonian(system, basis, rwa=True)
+    H.eliminate_zeros()
+    found = []
+    for s_index, sector in enumerate(split_sectors(system, basis)):
+        Hs = H[sector.indices][:, sector.indices]
+        energy, vec = _lowest_eigenpair(Hs, config, s_index)
+        found.append((sector.label, energy, vec, sector.indices))
+    e_min = min(item[1] for item in found)
+    degenerate = sorted(item[0] for item in found
+                        if item[1] - e_min <= config.degeneracy_tol)
+    _, energy, vec, indices = next(item for item in found
+                                   if item[0] == degenerate[0])
+    weights = vec * vec / (vec @ vec)
+    nu_cols = basis.nu_columns()[indices]
+    at_boundary = (nu_cols == np.array(basis.cutoffs)).any(axis=1)
+    return {
+        "energy": energy / atoms,
+        "sector": degenerate[0],
+        "sector_energies": {lab: e / atoms for lab, e, _, _ in found},
+        "degenerate_sectors": tuple(degenerate),
+        "nu": {p: float(weights @ nu_cols[:, m]) / atoms
+               for m, p in enumerate(basis.pairs)},
+        "populations": tuple(
+            weights @ basis.occupation_columns()[indices] / atoms),
+        "boundary_weight": float(weights[at_boundary].sum()),
+    }
+
+
+@pytest.fixture
+def block_solves(monkeypatch):
+    """Every _Blocks built by a solve, with the blocks each one solved."""
+    made = []
+
+    class Recording(quantum._Blocks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.solved = []
+            made.append(self)
+
+        def lowest(self, seed, todo=None):
+            self.solved.append(np.ones(len(self.sizes), dtype=bool)
+                               if todo is None else todo.copy())
+            return super().lowest(seed, todo)
+
+    monkeypatch.setattr(quantum, "_Blocks", Recording)
+    return made
+
+
+class TestChargeBlocks:
+    CAP = {2: 5, 3: 3, 4: 2}
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(drawn=_systems(st.integers(2, 4)), atoms=st.integers(1, 3),
+           cut=st.integers(0, 5))
+    @example(drawn=(_triangle(), 0), atoms=2, cut=3)
+    @example(drawn=(_triangle(), 4), atoms=3, cut=2)
+    def test_rwa_elements_keep_every_charge(self, drawn, atoms, cut):
+        system, zero = drawn
+        system = _with_zeros(system, zero)
+        basis = build_basis(system, atoms, min(cut, self.CAP[system.n]))
+        K = quantum._charges(basis)
+        H = build_hamiltonian(system, basis, rwa=True).tocoo()
+        nonzero = H.data != 0.0
+        assert np.array_equal(K[H.row[nonzero]], K[H.col[nonzero]])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(drawn=_systems(st.integers(2, 4)), atoms=st.integers(1, 3),
+           cut=st.integers(0, 5), threshold=st.sampled_from([2, 8, 300]))
+    @example(drawn=(_triangle(), 0), atoms=2, cut=4, threshold=300)
+    @example(drawn=(_triangle(), 2), atoms=3, cut=3, threshold=2)
+    def test_matches_component_route(self, drawn, atoms, cut, threshold):
+        system, zero = drawn
+        system = _with_zeros(system, zero)
+        cut = min(cut, self.CAP[system.n])
+        config = SolverConfig(dense_threshold=threshold)
+        got = ground_state(system, atoms, cut, rwa=True, config=config)
+        want = _component_route(system, atoms, cut, config)
+        assert got.sector == want["sector"]
+        assert got.degenerate_sectors == want["degenerate_sectors"]
+        assert got.energy == pytest.approx(want["energy"], abs=1e-10)
+        assert got.sector_energies == pytest.approx(want["sector_energies"],
+                                                    abs=1e-10)
+        assert got.nu == pytest.approx(want["nu"], abs=1e-10)
+        assert got.populations == pytest.approx(want["populations"],
+                                                abs=1e-10)
+        assert got.boundary_weight == pytest.approx(want["boundary_weight"],
+                                                    abs=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(drawn=_systems(st.integers(2, 4)), atoms=st.integers(1, 3))
+    @example(drawn=(_triangle(), 0), atoms=2)
+    def test_rotating_wave_bound_at_half_coupling(self, drawn, atoms):
+        system, zero = drawn
+        system = _with_zeros(system, zero)
+        try:
+            _, result = converge_cutoff(system, atoms, 2, tol=1e-6, rwa=True,
+                                        budget=30_000)
+        except BudgetError:
+            assume(False)
+        assert result.energy <= minimize(rwa_rescale(system)).energy + 1e-9
+
+    def test_pruning_skips_blocks_at_workload_cutoffs(self, xi, block_solves):
+        system = xi(1.3, 1.7, atom_count=4)
+        cut = {(1, 2): 24, (2, 3): 48}
+        result = ground_state(system, 4, cut, rwa=True)
+        blocks, = block_solves
+        solved, = blocks.solved
+        assert 0 < solved.sum() < len(solved) / 2
+        want = _component_route(system, 4, cut, SolverConfig())
+        assert result.sector_energies == pytest.approx(
+            want["sector_energies"], abs=1e-10)
+
+    def test_zero_couplings_tie_to_lowest_index(self, xi, block_solves):
+        # photon 1-2 with the atom in level 1 and no photon with the atom in
+        # level 2 share a charge vector and an energy of exactly 1.0
+        system = xi(0.0, 0.0)
+        result = ground_state(system, 1, 2, rwa=True)
+        blocks, = block_solves
+        assert set(blocks.sizes) == {1}
+        basis = build_basis(system, 1, 2)
+        indices, vec = result.sector_vectors.vectors[(0, 1, 0)]
+        assert basis.ket(int(indices[0])).n == (0, 1, 0)
+        assert indices.tolist() == [1] and vec.tolist() == [1.0]
+        label, = [s.label for s in split_sectors(system, basis)
+                  if s.parity == (0, 1, 0)]
+        assert result.sector_energies[label] == 1.0
+
+    def test_zero_coupled_photons_split_blocks(self, xi, block_solves):
+        system = xi(0.0, 0.8, atom_count=2)
+        ground_state(system, 2, 4, rwa=True)
+        blocks, = block_solves
+        nu12 = build_basis(system, 2, 4).nu_columns()[:, 0]
+        for b in range(len(blocks.sizes)):
+            assert len(set(nu12[blocks.members(b)])) == 1
+        assert blocks.sizes.max() > 1

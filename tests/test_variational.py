@@ -14,7 +14,6 @@ from polydicke import (
     gradient,
     minimize,
     minimize_numeric,
-    optimal_phases,
     photon_stationary_r,
     reduced_energy,
     variational_state_params,
@@ -106,11 +105,6 @@ class TestEnergySurface:
 
 
 class TestPhasesAndField:
-    def test_optimal_phases_are_all_zero(self, xi):
-        phases = optimal_phases(xi())
-        assert set(phases.theta.values()) == {0.0}
-        assert set(phases.phi.values()) == {0.0}
-
     def test_zero_matter_gives_zero_field(self, xi):
         system = xi()
         r = photon_stationary_r(system, zero_matter(3))
