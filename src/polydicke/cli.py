@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -153,10 +154,8 @@ def _grid_points(axes, resolution: int):
     """Yield (index_tuple, couplings dict) in row-major order."""
     values = [np.linspace(lo, hi, resolution) for _, (lo, hi) in axes]
     pairs = [p for p, _ in axes]
+    # no axes: one point, index (0,), with no coupling changed
     shape = tuple(resolution for _ in axes) or (1,)
-    if not axes:
-        yield (0,), {}
-        return
     for index in np.ndindex(*shape):
         yield index, {p: float(values[m][index[m]])
                       for m, p in enumerate(pairs)}
@@ -339,20 +338,33 @@ def _exact_at(system: AtomicSystem, mu: Mapping[Pair, float], args,
     config = quantum.SolverConfig(seed=args.seed)
     cut = cutoffs or quantum.suggest_cutoffs(local, args.na)
     if args.tol is not None:
-        final_cut, result = quantum.converge_cutoff(
+        return quantum.converge_cutoff(
             local, args.na, cut, args.tol, rwa=args.rwa,
-            config=config, budget=args.budget)
-        return result
+            config=config, budget=args.budget)[1]
     return quantum.ground_state(local, args.na, cut, rwa=args.rwa,
                                 config=config, budget=args.budget)
 
 
-def cmd_exact(args) -> int:
+def _exact_inputs(args) -> Tuple[AtomicSystem, list,
+                                  Optional[Dict[Pair, int]], Dict]:
+    """System, axes, cutoffs and run configuration of `exact`/`compare`."""
     system = require_valid(_load_system(args.system))
-    axes = _resolve_axes(args, system, minimum=1, maximum=3) if args.axes else []
+    axes = _resolve_axes(args, system, minimum=1, maximum=3)
     if axes and args.res < 2:
         raise CliError("--res must be at least 2 for scans")
     cutoffs = _resolve_cutoffs(args, system)
+    config = {
+        "system": system.to_dict(),
+        "axes": [[list(p), list(r)] for p, r in axes],
+        "res": args.res if axes else 1, "na": args.na, "rwa": args.rwa,
+        "cutoffs": {f"{j}_{k}": c for (j, k), c in (cutoffs or {}).items()},
+        "tol": args.tol, "seed": args.seed, "budget": args.budget,
+    }
+    return system, axes, cutoffs, config
+
+
+def cmd_exact(args) -> int:
+    system, axes, cutoffs, config = _exact_inputs(args)
     points = []
     for _, mu in _grid_points(axes, args.res):
         couplings = mu or {t.pair: t.mu for t in system.transitions}
@@ -361,13 +373,6 @@ def cmd_exact(args) -> int:
         if not result.converged:
             rec["warning"] = "truncation boundary weight above threshold"
         points.append(rec)
-    config = {
-        "system": system.to_dict(),
-        "axes": [[list(p), list(r)] for p, r in axes],
-        "res": args.res if axes else 1, "na": args.na, "rwa": args.rwa,
-        "cutoffs": {f"{j}_{k}": c for (j, k), c in (cutoffs or {}).items()},
-        "tol": args.tol, "seed": args.seed, "budget": args.budget,
-    }
     meta = _meta("exact", config, args.seed)
     _atomic_write(args.out, _json_text({"meta": meta, "points": points}))
     print(f"wrote {args.out}")
@@ -375,11 +380,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    system = require_valid(_load_system(args.system))
-    axes = _resolve_axes(args, system, minimum=1, maximum=3) if args.axes else []
-    if axes and args.res < 2:
-        raise CliError("--res must be at least 2 for scans")
-    cutoffs = _resolve_cutoffs(args, system)
+    system, axes, cutoffs, config = _exact_inputs(args)
     shape = tuple(args.res for _ in axes) or (1,)
     labels = np.empty(shape, dtype=object)
     agrees = np.empty(shape, dtype=object)
@@ -426,13 +427,6 @@ def cmd_compare(args) -> int:
             sum(1 for a in scored if a) / len(scored) if scored else None
         ),
     }
-    config = {
-        "system": system.to_dict(),
-        "axes": [[list(p), list(r)] for p, r in axes],
-        "res": args.res if axes else 1, "na": args.na, "rwa": args.rwa,
-        "cutoffs": {f"{j}_{k}": c for (j, k), c in (cutoffs or {}).items()},
-        "tol": args.tol, "seed": args.seed, "budget": args.budget,
-    }
     meta = _meta("compare", config, args.seed)
     _atomic_write(args.out, _json_text(
         {"meta": meta, "points": points, "summary": summary}))
@@ -466,73 +460,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, res=None):
+        """--system and --seed; with a default resolution res, also the
+        output file and the scanned axes."""
         p.add_argument("--system", required=True,
                        help="JSON system file (n, omega, transitions, atom_count)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--seed", type=int, default=0)
+        if res is None:
+            return
+        p.add_argument("--out", required=True, help="output file path")
+        p.add_argument("--axes", action="append",
+                       help="varying transition, e.g. 1-2 (repeatable)")
+        p.add_argument("--range", action="append",
+                       help="lo:hi for the matching axis (one shared allowed)")
+        p.add_argument("--res", type=int, default=res)
+        p.add_argument("--rwa", action="store_true", help="solve the "
+                       "rotating-wave problem at these couplings")
 
     p = sub.add_parser("validate", help="check a system file")
-    common(p, needs_out=False)
+    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("phase-diagram",
                        help="grid scan of the variational ground-state region")
-    common(p)
-    p.add_argument("--axes", action="append",
-                   help="varying transition, e.g. 1-2 (repeatable)")
-    p.add_argument("--range", action="append",
-                   help="lo:hi for the matching axis (one shared allowed)")
-    p.add_argument("--res", type=int, default=100)
-    p.add_argument("--rwa", action="store_true",
-                   help="solve the rotating-wave problem at these couplings")
+    common(p, res=100)
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("observables",
                        help="closed-form observables along a coupling sweep")
-    common(p)
-    p.add_argument("--axes", action="append")
-    p.add_argument("--range", action="append")
-    p.add_argument("--res", type=int, default=100)
+    common(p, res=100)
     p.add_argument("--zeta", help="polar sweep over two pairs, e.g. 1-2,2-3")
     p.add_argument("--mu", type=float, default=1.0,
                    help="radius of the polar sweep")
-    p.add_argument("--rwa", action="store_true")
     p.set_defaults(func=cmd_observables)
 
-    p = sub.add_parser("exact", help="exact diagonalization results")
-    common(p)
-    p.add_argument("--axes", action="append")
-    p.add_argument("--range", action="append")
-    p.add_argument("--res", type=int, default=10)
-    p.add_argument("--na", type=int, default=1, help="number of atoms")
-    p.add_argument("--cutoff", action="append",
-                   help="photon cutoff, shared (30) or per pair (1-2=30)")
-    p.add_argument("--rwa", action="store_true")
-    p.add_argument("--tol", type=float, default=None,
-                   help="converge cutoffs until the energy settles within tol")
-    p.add_argument("--budget", type=int, default=quantum.DEFAULT_BASIS_BUDGET)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("compare",
-                       help="variational vs exact energies over a grid")
-    common(p)
-    p.add_argument("--axes", action="append")
-    p.add_argument("--range", action="append")
-    p.add_argument("--res", type=int, default=10)
-    p.add_argument("--na", type=int, default=1)
-    p.add_argument("--cutoff", action="append")
-    p.add_argument("--rwa", action="store_true")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=quantum.DEFAULT_BASIS_BUDGET)
-    p.set_defaults(func=cmd_compare)
+    for name, func, text in (
+            ("exact", cmd_exact, "exact diagonalization results"),
+            ("compare", cmd_compare,
+             "variational vs exact energies over a grid")):
+        p = sub.add_parser(name, help=text)
+        common(p, res=10)
+        p.add_argument("--na", type=int, default=1, help="number of atoms")
+        p.add_argument("--cutoff", action="append",
+                       help="photon cutoff, shared (30) or per pair (1-2=30)")
+        p.add_argument("--tol", type=float, default=None,
+                       help="converge cutoffs until the energy settles "
+                            "within tol")
+        p.add_argument("--budget", type=int,
+                       default=quantum.DEFAULT_BASIS_BUDGET)
+        p.set_defaults(func=func)
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -15,42 +15,38 @@ Hamiltonian never connects; the global minimum over per-sector lowest
 eigenpairs is the exact ground state of the truncated problem.  Sectors are
 keyed by one integer per parity row.
 
-The full model builds the sparse matrix from the kernel, splits it into
-sectors, and splits each sector further into the connected components that
-zero couplings leave.  The rotating-wave model conserves every charge K_j
-itself, on any transition graph, cyclic ones included, and the photon number
-of every zero-coupled mode.  Its solve groups the kernel's entries straight
-into these blocks, with no sparse matrix and no component search, and skips
-every block whose Gershgorin lower bound lies more than the degeneracy
-tolerance above its sector's least diagonal element.  Blocks are solved by
-size:
+The full and rotating-wave models share one solve.  One connected-component
+search over the kernel's coupling elements splits the basis into blocks no
+element joins.  They never cross a sector; zero couplings split sectors
+further, and under rwa the blocks refine the conserved-charge (K_j) blocks.
+Every block whose Gershgorin lower bound lies more than the degeneracy
+tolerance above its sector's least diagonal element is skipped.  The rest
+are solved by size:
 
 * single states are read off the diagonal;
 * blocks up to the dense threshold go through stacked NumPy eigenvalue
   solves, in stacks no larger than one dense block at the threshold, and
   only the winning blocks get an eigenvector solve;
-* an unsplit sector is solved densely up to the dense threshold, and any
-  larger block with Lanczos.
+* larger blocks go through Lanczos.
 
 The default threshold of 300 states sits at the measured crossover: on ξ
 sector blocks, one thread, the dense lowest-eigenpair solve takes 1.4 ms at
 169 states and 42 ms at 721, and Lanczos 3.7 ms and 8.4 ms.
 
-Each result keeps its per-sector lowest vectors.  `converge_cutoff` hands
-them to the next, finer solve, which embeds each in its own basis and
-starts Lanczos there instead of from a seeded random vector; on ξ this
-halves the Lanczos iterations of the fine solve.
+Each result keeps every sector's lowest vector.  `converge_cutoff` hands
+them to the next, finer full-model solve, which embeds them all in one
+vector over its basis; a Lanczos block starts from that vector's part on
+its states when the part is nonzero, and otherwise from a seeded random
+vector.  On ξ this halves the Lanczos iterations of the fine solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
@@ -119,9 +115,6 @@ class TruncatedBasis:
     @property
     def size(self) -> int:
         return int(np.prod(self.mode_dims)) * self.atomic_dim
-
-    def cutoff_of(self, pair: Pair) -> int:
-        return self.cutoffs[self.pairs.index(tuple(pair))]
 
     def index(self, ket: FockKet) -> int:
         """Exact inverse of the enumeration."""
@@ -350,26 +343,27 @@ def split_sectors(system: AtomicSystem,
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the per-sector eigensolves and truncation diagnostics."""
+    """Knobs for the block solves and truncation diagnostics.
+
+    Blocks above dense_threshold states go through Lanczos, the rest through
+    dense solves.  seed seeds the random Lanczos start of every block that
+    gets none from a coarser solve.  degeneracy_tol both groups near-equal
+    sector minima and widens the Gershgorin skip.
+    """
 
     dense_threshold: int = 300
-    # seeds the random Lanczos start of every block solved without a start
-    # vector from a coarser solve
     seed: int = 0
     boundary_threshold: float = 1e-8
     degeneracy_tol: float = 1e-10
-    lanczos_tol: float = 0.0          # 0 = machine precision
-    lanczos_maxiter: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class SectorVectors:
     """Lowest vector of every sector of one solve, keyed by parity tuple.
 
-    Each entry holds global basis indices (ascending) and the sector's
-    lowest vector on them: the whole sector in the full model, the winning
-    charge block under rwa.  A finer full-model solve of the same problem
-    embeds these as Lanczos start vectors.
+    Each entry holds the global basis indices (ascending) of the sector's
+    winning block and the sector's lowest vector on them.  A finer
+    full-model solve of the same problem embeds these as Lanczos starts.
     """
 
     basis: TruncatedBasis
@@ -423,23 +417,6 @@ class QuantumGroundResult:
         return rec
 
 
-def _lowest_eigenpair_irreducible(H: sp.csr_matrix, config: SolverConfig,
-                                  seed: int, v0: Optional[np.ndarray] = None,
-                                  ) -> Tuple[float, np.ndarray]:
-    """Lowest eigenpair of one connected block; v0 starts Lanczos if given."""
-    dim = H.shape[0]
-    if dim == 1:
-        return float(H[0, 0]), np.ones(1)
-    if dim <= config.dense_threshold:
-        vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, 0])
-        return float(vals[0]), vecs[:, 0]
-    if v0 is None:
-        v0 = np.random.default_rng(config.seed + seed).standard_normal(dim)
-    vals, vecs = eigsh(H, k=1, which="SA", v0=v0, tol=config.lanczos_tol,
-                       maxiter=config.lanczos_maxiter)
-    return float(vals[0]), vecs[:, 0]
-
-
 class _Blocks:
     """A real symmetric matrix that is block diagonal, solved block by block.
 
@@ -447,7 +424,7 @@ class _Blocks:
     (rows, cols, vals) every off-diagonal element once, at one of its two
     mirror positions.  No element joins two blocks.  Within a block, states
     keep ascending index order.  config supplies the dense threshold and the
-    Lanczos settings.
+    seed of the random Lanczos starts.
     """
 
     def __init__(self, block: np.ndarray, n_blocks: int, diag: np.ndarray,
@@ -462,7 +439,10 @@ class _Blocks:
         self.local[self.order] = (np.arange(len(block))
                                   - self.starts[block[self.order]])
         self.entry_block = block[rows]
-        self._vectors: Dict[int, np.ndarray] = {}  # Lanczos results
+        # lowest vector and matrix of every block solved one by one:
+        # Lanczos blocks in `lowest`, dense ones in `vector`
+        self._solved: Dict[int, Tuple[np.ndarray,
+                                      Union[np.ndarray, sp.csr_matrix]]] = {}
 
     def members(self, b: int) -> np.ndarray:
         return self.order[self.starts[b]:self.starts[b] + self.sizes[b]]
@@ -496,15 +476,17 @@ class _Blocks:
              (np.concatenate([on, r, c]), np.concatenate([on, c, r]))),
             shape=(len(on), len(on)))
 
-    def lowest(self, seed: int,
-               todo: Optional[np.ndarray] = None) -> np.ndarray:
+    def lowest(self, todo: Optional[np.ndarray] = None,
+               start: Optional[np.ndarray] = None) -> np.ndarray:
         """Lowest eigenvalue of every block with todo set, +inf elsewhere.
 
         Single states are read off the diagonal.  Blocks up to the dense
-        threshold go through stacked NumPy solves, each stack holding at
-        most as many entries as one block at the threshold; larger blocks
-        go through Lanczos one by one, block b from a start seeded by
-        seed + 7919 (b + 1).
+        threshold go through stacked NumPy eigenvalue solves, each stack
+        holding at most as many entries as one block at the threshold;
+        larger blocks go through Lanczos one by one.  Lanczos on block b
+        starts from the restriction of start (one value per state) to the
+        block's states when that is nonzero, and otherwise from a random
+        vector seeded by config.seed + 7919 (b + 1).
         """
         config = self.config
         n = len(self.sizes)
@@ -512,16 +494,22 @@ class _Blocks:
         energies = np.full(n, math.inf)
         single = todo & (self.sizes == 1)
         energies[single] = self.diag[self.order[self.starts[single]]]
+        lanczos = todo & (self.sizes > max(1, config.dense_threshold))
+        for b in np.flatnonzero(lanczos):
+            v0 = None if start is None else start[self.members(b)]
+            if v0 is None or not v0.any():
+                rng = np.random.default_rng(config.seed + 7919 * (b + 1))
+                v0 = rng.standard_normal(self.sizes[b])
+            H = self.matrix(b)
+            vals, vecs = eigsh(H, k=1, which="SA", v0=v0)
+            energies[b] = vals[0]
+            self._solved[b] = vecs[:, 0], H
+        todo = todo & ~single & ~lanczos
+        # built after the Lanczos solves, so that their peak memory omits it
         entry_size = np.where(todo[self.entry_block],
                               self.sizes[self.entry_block], 0)
-        for m in np.unique(self.sizes[todo & (self.sizes > 1)]):
+        for m in np.unique(self.sizes[todo]):
             blocks = np.flatnonzero(todo & (self.sizes == m))
-            if m > config.dense_threshold:
-                for b in blocks:
-                    energies[b], self._vectors[b] = (
-                        _lowest_eigenpair_irreducible(
-                            self.matrix(b), config, seed + 7919 * (b + 1)))
-                continue
             per_call = (config.dense_threshold // m) ** 2
             slot = np.full(n, -1)
             slot[blocks] = np.arange(len(blocks))
@@ -537,106 +525,14 @@ class _Blocks:
                 energies[blocks[lo:hi]] = np.linalg.eigvalsh(stack)[:, 0]
         return energies
 
-    def vector(self, b: int) -> np.ndarray:
-        """Lowest eigenvector of a block already passed through `lowest`."""
-        if self.sizes[b] == 1:
-            return np.ones(1)
-        if b in self._vectors:
-            return self._vectors[b]
-        return np.linalg.eigh(self.matrix(b))[1][:, 0]
-
-
-def _lowest_eigenpair(H: sp.csr_matrix, config: SolverConfig,
-                      sector_seed: int, v0: Optional[np.ndarray] = None,
-                      ) -> Tuple[float, np.ndarray]:
-    """Lowest eigenpair of one exactly symmetric sector block.
-
-    The block holds no stored zeros.  Zero couplings leave extra conserved
-    quantities, so a sector can itself be block diagonal; Lanczos from a
-    single start vector may lose weight on exactly decoupled blocks.  The
-    sparsity graph's connected components make that split explicit, and the
-    minimum over per-component solves (`_Blocks.lowest`) is exact.  Among
-    equal energies the component with the lowest label, which holds the
-    lowest index, wins.  The start vector v0 is used only when the block is
-    one connected component that goes through Lanczos.
-    """
-    n_comp, membership = connected_components(H, directed=False)
-    if n_comp == 1:
-        return _lowest_eigenpair_irreducible(H, config, sector_seed, v0)
-    coo = H.tocoo()
-    lower = coo.row > coo.col
-    blocks = _Blocks(membership, n_comp, H.diagonal(), coo.row[lower],
-                     coo.col[lower], coo.data[lower], config)
-    energies = blocks.lowest(sector_seed)
-    comp = int(np.argmin(energies))
-    full = np.zeros(H.shape[0])
-    full[blocks.members(comp)] = blocks.vector(comp)
-    return float(energies[comp]), full
-
-
-def _packed_key(columns: np.ndarray) -> np.ndarray:
-    """One int64 per row of an integer array, equal exactly for equal rows."""
-    key = np.zeros(len(columns), dtype=np.int64)
-    for col in columns.T:
-        col = col - col.min()
-        span = int(col.max()) + 1
-        if (int(key.max()) + 1) * span > np.iinfo(np.int64).max:
-            key = np.unique(key, return_inverse=True)[1]
-        key = key * span + col
-    return key
-
-
-class _SectorSolve(NamedTuple):
-    """Lowest eigenpair of one sector, on the basis indices it occupies."""
-
-    label: str
-    parity: Tuple[int, ...]
-    energy: float
-    indices: np.ndarray
-    vector: np.ndarray
-    matrix: Union[np.ndarray, sp.csr_matrix]   # the block on those indices
-
-
-def _charge_block_solves(system: AtomicSystem, basis: TruncatedBasis,
-                         config: SolverConfig) -> List[_SectorSolve]:
-    """Lowest eigenpair of every parity sector of the rotating-wave problem.
-
-    The rotating-wave Hamiltonian conserves every charge K_j, on any
-    transition graph, and the photon number of every zero-coupled mode, so
-    it is block diagonal in these numbers.  A block whose Gershgorin lower
-    bound exceeds the least diagonal element of its sector (an upper bound
-    on the sector's lowest eigenvalue) by more than the degeneracy tolerance
-    can neither hold nor tie the sector minimum, and is not solved.  Among
-    equal energies the block holding the lowest basis index wins.
-    """
-    diag, rows, cols, vals = _hamiltonian_entries(system, basis, rwa=True)
-    K = _charges(basis)
-    zero = [m for m, p in enumerate(basis.pairs)
-            if system.transition(p).mu == 0.0]
-    _, first, block = np.unique(
-        _packed_key(np.hstack([K, basis.nu_columns()[:, zero]])),
-        return_index=True, return_inverse=True)
-    blocks = _Blocks(block, len(first), diag, rows, cols, vals, config)
-    sector, parity, labels = _parity_sectors(system, K[first])
-
-    weight = np.abs(vals)
-    radius = (np.bincount(rows, weight, basis.size)
-              + np.bincount(cols, weight, basis.size))
-    floor = np.minimum.reduceat((diag - radius)[blocks.order], blocks.starts)
-    least = np.full(len(labels), math.inf)
-    np.minimum.at(least, sector,
-                  np.minimum.reduceat(diag[blocks.order], blocks.starts))
-    energies = blocks.lowest(
-        0, todo=floor <= least[sector] + config.degeneracy_tol)
-
-    found = []
-    for s, label in enumerate(labels):
-        mine = np.flatnonzero(sector == s)
-        b = mine[np.lexsort((first[mine], energies[mine]))[0]]
-        found.append(_SectorSolve(
-            label, tuple(int(v) for v in parity[s]), float(energies[b]),
-            blocks.members(b), blocks.vector(b), blocks.matrix(b)))
-    return found
+    def vector(self, b: int) -> Tuple[np.ndarray,
+                                      Union[np.ndarray, sp.csr_matrix]]:
+        """Lowest eigenvector of a block passed through `lowest`, and the
+        block's matrix."""
+        if b not in self._solved:
+            H = self.matrix(b)
+            self._solved[b] = np.linalg.eigh(H)[1][:, 0], H
+        return self._solved[b]
 
 
 def _embed_indices(coarse: TruncatedBasis, fine: TruncatedBasis,
@@ -651,43 +547,30 @@ def _embed_indices(coarse: TruncatedBasis, fine: TruncatedBasis,
     return photons * fine.atomic_dim + indices % coarse.atomic_dim
 
 
-def _start_vectors(start: Optional[QuantumGroundResult],
-                   basis: TruncatedBasis,
-                   sectors: Sequence[SymmetrySector],
-                   ) -> List[Optional[np.ndarray]]:
-    """Lanczos start vector for each full-model sector from a coarser solve.
+def _start_vector(start: Optional[QuantumGroundResult], basis: TruncatedBasis,
+                  rwa: bool) -> Optional[np.ndarray]:
+    """Lanczos start over the whole basis from a coarser solve, or None.
 
     A start applies only to the same full-model problem on a basis no finer
-    than this one, and gives None elsewhere; sectors are matched by parity, since the two-letter labels are
-    chosen per basis.  Every validated mu is nonnegative, so every
-    off-diagonal element is <= 0, and the lowest vector of a connected block
-    is strictly positive (Perron-Frobenius).  The coarse vector is one-signed
-    (up to rounding) on one coarse component, so its embedding always
-    overlaps it.
+    than this one.  Every coarse sector vector is embedded at the indices
+    holding the same occupations.  Every validated mu is nonnegative, so
+    every off-diagonal element is <= 0, and the lowest vector of a connected
+    block is strictly positive (Perron-Frobenius).  A coarse block stays
+    connected at finer cutoffs, so each fine block holds either one whole
+    one-signed coarse vector or none of it.
     """
     coarse = None if start is None else start.sector_vectors
-    if coarse is None:
-        return [None] * len(sectors)
+    if coarse is None or rwa or coarse.rwa:
+        return None
     cb = coarse.basis
-    if (coarse.rwa or cb.pairs != basis.pairs
-            or cb.atom_count != basis.atom_count
+    if (cb.pairs != basis.pairs or cb.atom_count != basis.atom_count
             or cb.n_levels != basis.n_levels
             or any(f < c for f, c in zip(basis.cutoffs, cb.cutoffs))):
-        return [None] * len(sectors)
-    out: List[Optional[np.ndarray]] = []
-    for sector in sectors:
-        entry = coarse.vectors.get(sector.parity)
-        if entry is None:  # no state of this sector below the coarse cutoffs
-            out.append(None)
-            continue
-        indices, vec = entry
-        fine = _embed_indices(cb, basis, indices)
-        pos = np.searchsorted(sector.indices, fine)
-        assert np.array_equal(sector.indices.take(pos, mode="clip"), fine)
-        v0 = np.zeros(len(sector.indices))
-        v0[pos] = vec
-        out.append(v0)
-    return out
+        return None
+    v0 = np.zeros(basis.size)
+    for indices, vec in coarse.vectors.values():
+        v0[_embed_indices(cb, basis, indices)] = vec
+    return v0
 
 
 def ground_state(system: AtomicSystem, atom_count: int,
@@ -698,52 +581,63 @@ def ground_state(system: AtomicSystem, atom_count: int,
                  ) -> QuantumGroundResult:
     """Global ground state: the minimum over all per-sector lowest eigenpairs.
 
+    One component search over the coupling elements splits the basis into
+    blocks that no element joins; they never cross a parity sector.  Blocks
+    whose Gershgorin lower bound lies more than the degeneracy tolerance
+    above their sector's least diagonal element (an upper bound on the
+    sector's lowest eigenvalue) can neither hold nor tie the sector minimum
+    and are skipped; the rest go through `_Blocks`.  Each sector's lowest
+    block wins it, ties going to the block holding the lowest basis index.
+
     Deterministic for a fixed config seed and a fixed start.  Sectors within
     the degeneracy tolerance of the minimum are all reported; observables
-    come from the lexicographically first of them.  With rwa set, the
-    sectors are solved as conserved-charge blocks (`_charge_block_solves`)
-    and no sparse Hamiltonian is built.  The result keeps every sector's
-    lowest vector; passed back as `start` to a full-model solve of the same
-    problem (pairs, atom count) with no cutoff lower, they start its Lanczos
-    solves, and any other start is ignored.  Raises a RuntimeError
-    with the residual norm if an iterative solve fails to converge.
+    come from the lexicographically first of them.  The result keeps every
+    sector's lowest vector; passed back as `start` to a full-model solve of
+    the same problem (pairs, atom count) with no cutoff lower, they start
+    its Lanczos solves, and any other start is ignored.  Raises a
+    RuntimeError if an iterative solve fails to converge.
     """
     require_valid(system)
     config = config or SolverConfig()
     basis = build_basis(system, atom_count, cutoffs, budget=budget)
-    if rwa:
-        try:
-            found = _charge_block_solves(system, basis, config)
-        except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
-            raise RuntimeError(
-                f"eigensolver failed to converge in a charge block: {exc}"
-            ) from exc
-    else:
-        H = build_hamiltonian(system, basis)
-        H.eliminate_zeros()
-        sectors = split_sectors(system, basis)
-        starts = _start_vectors(start, basis, sectors)
-        found = []
-        for s_index, (sector, v0) in enumerate(zip(sectors, starts)):
-            Hs = H[sector.indices][:, sector.indices]
-            try:
-                energy, vec = _lowest_eigenpair(Hs, config, s_index, v0)
-            except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
-                raise RuntimeError(
-                    f"eigensolver failed to converge in sector "
-                    f"{sector.label}: {exc}") from exc
-            found.append(_SectorSolve(sector.label, sector.parity, energy,
-                                      sector.indices, vec, Hs))
+    diag, rows, cols, vals = _hamiltonian_entries(system, basis, rwa)
+    n = basis.size
+    n_blocks, block = connected_components(
+        sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), directed=False)
+    blocks = _Blocks(block, n_blocks, diag, rows, cols, vals, config)
+    first = blocks.order[blocks.starts]  # lowest basis index of every block
+    sector, parity, labels = _parity_sectors(system, _charges(basis)[first])
 
-    found.sort(key=lambda item: (item.energy, item.label))
-    e_min = found[0].energy
+    # Gershgorin; no temporary of one value per entry outlives this line
+    floor = np.minimum.reduceat(
+        (diag - np.bincount(rows, np.abs(vals), n)
+         - np.bincount(cols, np.abs(vals), n))[blocks.order], blocks.starts)
+    least = np.full(len(labels), math.inf)
+    np.minimum.at(least, sector,
+                  np.minimum.reduceat(diag[blocks.order], blocks.starts))
+    try:
+        energies = blocks.lowest(
+            todo=floor <= least[sector] + config.degeneracy_tol,
+            start=_start_vector(start, basis, rwa))
+    except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
+        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+
+    by_sector = np.lexsort((first, energies, sector))
+    winners = by_sector[np.searchsorted(sector[by_sector],
+                                        np.arange(len(labels)))]
+    sector_energies = {label: float(energies[b])
+                       for label, b in zip(labels, winners)}
+    e_min = min(sector_energies.values())
     degenerate = tuple(sorted(
-        item.label for item in found
-        if item.energy - e_min <= config.degeneracy_tol))
-    winner = next(item for item in found if item.label == degenerate[0])
-    energy, indices, vec = winner.energy, winner.indices, winner.vector
+        label for label, e in sector_energies.items()
+        if e - e_min <= config.degeneracy_tol))
+    solved = [blocks.vector(b) for b in winners]
+    win = labels.index(degenerate[0])
+    energy = sector_energies[degenerate[0]]
+    indices = blocks.members(winners[win])
+    vec, matrix = solved[win]
 
-    residual = float(np.linalg.norm(winner.matrix @ vec - energy * vec)
+    residual = float(np.linalg.norm(matrix @ vec - energy * vec)
                      / np.linalg.norm(vec))
     weights = vec * vec
     weights = weights / weights.sum()
@@ -765,9 +659,9 @@ def ground_state(system: AtomicSystem, atom_count: int,
 
     return QuantumGroundResult(
         energy=energy / atom_count,
-        sector=winner.label,
-        sector_energies={item.label: item.energy / atom_count
-                         for item in found},
+        sector=degenerate[0],
+        sector_energies={label: e / atom_count
+                         for label, e in sector_energies.items()},
         degenerate_sectors=degenerate,
         nu=nu,
         populations=populations,
@@ -778,8 +672,8 @@ def ground_state(system: AtomicSystem, atom_count: int,
         converged=boundary_weight <= config.boundary_threshold,
         sector_vectors=SectorVectors(
             basis=basis, rwa=rwa,
-            vectors={item.parity: (item.indices, item.vector)
-                     for item in found}),
+            vectors={tuple(int(v) for v in row): (blocks.members(b), vec)
+                     for row, b, (vec, _) in zip(parity, winners, solved)}),
     )
 
 

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,3 +333,29 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_successive_calls_match_fresh_processes(self, system_file,
+                                                    tmp_path):
+        # one parser serves every call: appended options must not carry over,
+        # neither to another subcommand nor to the next call of the same one
+        runs = {
+            "exact": ["exact", "--system", system_file(), "--na", "1",
+                      "--axes", "1-2", "--range", "0.5:1.5", "--res", "2",
+                      "--cutoff", "1-2=6", "--cutoff", "2-3=9"],
+            "compare": ["compare", "--system", system_file(), "--na", "2",
+                        "--axes", "2-3", "--axes", "1-2", "--range", "0:1",
+                        "--res", "2", "--cutoff", "5", "--rwa"],
+            "exact-again": ["exact", "--system", system_file(), "--na", "1",
+                            "--axes", "2-3", "--range", "0:1", "--res", "2",
+                            "--cutoff", "7"],
+        }
+        for name, args in runs.items():
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for name, args in runs.items():
+            fresh = tmp_path / f"{name}.fresh"
+            subprocess.run([sys.executable, "-m", "polydicke.cli", *args,
+                            "--out", str(fresh)], env=env, check=True,
+                           capture_output=True)
+            assert (tmp_path / name).read_bytes() == fresh.read_bytes()

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import random_system
 from polydicke import (
@@ -16,6 +18,7 @@ from polydicke import (
     Transition,
     build_basis,
     build_hamiltonian,
+    cascade_system,
     converge_cutoff,
     delta_nu,
     ground_state,
@@ -25,7 +28,7 @@ from polydicke import (
     suggest_cutoffs,
 )
 from polydicke import quantum
-from polydicke.quantum import SymmetrySector, _embed_indices, _lowest_eigenpair
+from polydicke.quantum import SymmetrySector, _embed_indices
 from polydicke.symmetries import WeightError, excitation_weights
 
 # dense-diagonalization oracle values for the cascade benchmark
@@ -308,6 +311,33 @@ def eigsh_starts(monkeypatch):
     return starts
 
 
+@pytest.fixture
+def lanczos_starts(monkeypatch, block_solves):
+    """(block, its basis indices, start vector) of every Lanczos solve.
+
+    Each call is matched to its block by the matrix it solves, not by the
+    order of the calls.
+    """
+    found = []
+    eigsh = quantum.eigsh
+
+    def recording(H, **kwargs):
+        blocks = block_solves[-1]
+        b, = [b for b in np.flatnonzero(blocks.sizes == H.shape[0])
+              if abs(blocks.matrix(b) - H).max() == 0.0]
+        found.append((b, blocks.members(b), kwargs["v0"].copy()))
+        return eigsh(H, **kwargs)
+
+    monkeypatch.setattr(quantum, "eigsh", recording)
+    return found
+
+
+def _sector_of(sectors, indices):
+    """The sector holding every one of these basis indices."""
+    sector, = [s for s in sectors if np.isin(indices, s.indices).all()]
+    return sector
+
+
 class TestWarmStart:
     LANCZOS = SolverConfig(dense_threshold=8)
 
@@ -326,20 +356,28 @@ class TestWarmStart:
                 assert fine.ket(int(j)) == coarse.ket(i)
                 assert fine.index(coarse.ket(i)) == j
 
-    def test_fine_solve_starts_from_coarse_vectors(self, xi, eigsh_starts):
+    def test_fine_solve_starts_from_coarse_vectors(self, xi, lanczos_starts):
         system = xi(1.0, 1.0)
         coarse = ground_state(system, 1, 3, config=self.LANCZOS)
-        eigsh_starts.clear()
+        lanczos_starts.clear()
         warm = ground_state(system, 1, 6, config=self.LANCZOS, start=coarse)
+        calls = list(lanczos_starts)
         cold = ground_state(system, 1, 6, config=self.LANCZOS)
         basis = build_basis(system, 1, 6)
         sectors = split_sectors(system, basis)
-        assert len(eigsh_starts) == 2 * len(sectors)
-        for sector, v0 in zip(sectors, eigsh_starts):
-            indices, _ = coarse.sector_vectors.vectors[sector.parity]
-            assert np.count_nonzero(v0) == len(indices) < len(v0)
+        assert len(calls) == len(sectors)
+        matched = []
+        for _, members, v0 in calls:
+            sector = _sector_of(sectors, members)
+            matched.append(sector.label)
+            indices, vec = coarse.sector_vectors.vectors[sector.parity]
+            fine = _embed_indices(coarse.sector_vectors.basis, basis, indices)
+            assert np.array_equal(members[v0 != 0.0], np.sort(fine))
+            assert len(indices) < len(v0)
+            assert np.array_equal(v0[np.searchsorted(members, fine)], vec)
             v0 = v0 * np.sign(v0[np.argmax(abs(v0))])
             assert v0.min() > -1e-12
+        assert sorted(matched) == [s.label for s in sectors]
         assert warm.energy == pytest.approx(cold.energy, abs=1e-12)
         assert warm.sector_energies == pytest.approx(cold.sector_energies,
                                                      abs=1e-12)
@@ -360,20 +398,57 @@ class TestWarmStart:
         assert warm == ground_state(system, 2, 6, config=self.LANCZOS)
 
     def test_sector_absent_from_start_starts_at_random(self, xi,
-                                                       eigsh_starts):
+                                                       lanczos_starts):
         system = xi(1.0, 1.0)
         # no photons: the single atom fixes the parities, three sectors of four
         coarse = ground_state(system, 1, 0, config=self.LANCZOS)
-        eigsh_starts.clear()
+        lanczos_starts.clear()
         warm = ground_state(system, 1, 6, config=self.LANCZOS, start=coarse)
+        calls = list(lanczos_starts)
         cold = ground_state(system, 1, 6, config=self.LANCZOS)
         sectors = split_sectors(system, build_basis(system, 1, 6))
         absent = [s.label for s in sectors
                   if s.parity not in coarse.sector_vectors.vectors]
         assert len(absent) == 1 and len(coarse.sector_vectors.vectors) == 3
-        for sector, v0 in zip(sectors, eigsh_starts):
+        assert len(calls) == len(sectors)
+        for _, members, v0 in calls:
+            sector = _sector_of(sectors, members)
             assert np.all(v0 != 0.0) == (sector.label in absent)
         assert warm.sector_energies[absent[0]] == cold.sector_energies[absent[0]]
+        assert warm.sector_energies == pytest.approx(cold.sector_energies,
+                                                     abs=1e-12)
+
+    def test_split_sector_warm_starts_one_block(self, lanczos_starts):
+        # mu23 = 0 conserves nu23, so every sector splits into one chain per
+        # nu23 value; at cutoff 12 each chain holds 13 states (Lanczos)
+        system = _xi(2.0, 0.0)
+        coarse = ground_state(system, 1, 6, config=self.LANCZOS)
+        lanczos_starts.clear()
+        warm = ground_state(system, 1, 12, config=self.LANCZOS, start=coarse)
+        calls = list(lanczos_starts)
+        cold = ground_state(system, 1, 12, config=self.LANCZOS)
+        basis = build_basis(system, 1, 12)
+        sectors = split_sectors(system, basis)
+        embedded = {}
+        for indices, vec in coarse.sector_vectors.vectors.values():
+            fine = _embed_indices(coarse.sector_vectors.basis, basis, indices)
+            embedded[_sector_of(sectors, fine).label] = (fine, vec)
+        per_sector, warm_blocks = Counter(), Counter()
+        for b, members, v0 in calls:
+            label = _sector_of(sectors, members).label
+            per_sector[label] += 1
+            fine, vec = embedded[label]
+            if np.isin(fine, members).any():
+                # the whole coarse vector, zero on the states new at cutoff 12
+                warm_blocks[label] += 1
+                assert np.array_equal(members[v0 != 0.0], np.sort(fine))
+                assert np.array_equal(v0[np.searchsorted(members, fine)], vec)
+            else:
+                rng = np.random.default_rng(self.LANCZOS.seed + 7919 * (b + 1))
+                assert np.array_equal(v0, rng.standard_normal(len(members)))
+        assert min(per_sector.values()) >= 3
+        assert warm_blocks == Counter(dict.fromkeys(per_sector, 1))
+        assert warm.energy == pytest.approx(cold.energy, abs=1e-12)
         assert warm.sector_energies == pytest.approx(cold.sector_energies,
                                                      abs=1e-12)
 
@@ -445,6 +520,11 @@ def _split_sectors_reference(system, basis):
     return sectors
 
 
+def _xi(mu12, mu23):
+    """The xi cascade of the `xi` fixture, for use in decorators."""
+    return cascade_system([0.0, 1.0, 1.3], [1.0, 0.5], [mu12, mu23])
+
+
 def _triangle():
     return AtomicSystem(n=3, omega=(0.0, 0.7, 1.6), transitions=(
         Transition(1, 2, 1.0, 0.5), Transition(2, 3, 0.8, 0.4),
@@ -495,6 +575,20 @@ def _block_matrix(rng, sizes, equal_pairs=0):
     return sp.csr_matrix(dense[np.ix_(perm, perm)])
 
 
+def _block_solve(H, config):
+    """Lowest eigenpair of sparse symmetric H through `_Blocks`, one block
+    per connected component; ties go to the lowest component label."""
+    n_comp, membership = connected_components(H, directed=False)
+    lower = sp.tril(H, k=-1).tocoo()
+    blocks = quantum._Blocks(membership, n_comp, H.diagonal(), lower.row,
+                             lower.col, lower.data, config)
+    energies = blocks.lowest()
+    comp = int(np.argmin(energies))
+    vec = np.zeros(H.shape[0])
+    vec[blocks.members(comp)] = blocks.vector(comp)[0]
+    return float(energies[comp]), vec
+
+
 class TestComponentSolver:
     @pytest.mark.parametrize("threshold", [1, 2, 4, 6, 300])
     def test_matches_dense_on_block_diagonal(self, threshold):
@@ -503,7 +597,7 @@ class TestComponentSolver:
         for _ in range(10):
             sizes = rng.choice([1, 2, 3, 5], size=int(rng.integers(2, 12)))
             H = _block_matrix(rng, sizes)
-            energy, vec = _lowest_eigenpair(H, config, 0)
+            energy, vec = _block_solve(H, config)
             assert energy == pytest.approx(
                 np.linalg.eigvalsh(H.toarray())[0], abs=1e-12)
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -517,8 +611,7 @@ class TestComponentSolver:
                                     [0.0, 1.0, 2.0, 0.0],
                                     [0.0, 2.0, 1.0, 0.0],
                                     [2.0, 0.0, 0.0, 1.0]]))
-        energy, vec = _lowest_eigenpair(
-            H, SolverConfig(dense_threshold=threshold), 0)
+        energy, vec = _block_solve(H, SolverConfig(dense_threshold=threshold))
         assert energy == pytest.approx(-1.0, abs=1e-14)
         assert np.flatnonzero(vec).tolist() == [0, 3]
 
@@ -532,7 +625,7 @@ class TestComponentSolver:
 
         monkeypatch.setattr(quantum, "eigsh", recording)
         H = _block_matrix(np.random.default_rng(3), [5, 5, 2, 1])
-        energy, vec = _lowest_eigenpair(H, SolverConfig(dense_threshold=3), 0)
+        energy, vec = _block_solve(H, SolverConfig(dense_threshold=3))
         assert inputs == [(5, True), (5, True)]
         assert energy == pytest.approx(np.linalg.eigvalsh(H.toarray())[0],
                                        abs=1e-12)
@@ -540,7 +633,7 @@ class TestComponentSolver:
 
     def test_tie_among_single_states(self):
         H = sp.csr_matrix(np.diag([2.0, -1.0, 0.5, -1.0]))
-        energy, vec = _lowest_eigenpair(H, SolverConfig(), 0)
+        energy, vec = _block_solve(H, SolverConfig())
         assert energy == -1.0
         assert vec.tolist() == [0.0, 1.0, 0.0, 0.0]
 
@@ -711,16 +804,24 @@ class TestBuilderPinned:
         self._assert_same(_triangle().with_couplings({(1, 3): 0.0}), 3, 2)
 
 
-def _component_route(system, atoms, cutoffs, config):
-    """Rotating-wave solve by sector and connected component, by hand."""
+def _component_route(system, atoms, cutoffs, config, rwa):
+    """Solve by sector and connected component, by hand: dense eigh on every
+    component of every sliced sector, ties to the lowest component label."""
     basis = build_basis(system, atoms, cutoffs)
-    H = build_hamiltonian(system, basis, rwa=True)
+    H = build_hamiltonian(system, basis, rwa=rwa)
     H.eliminate_zeros()
     found = []
-    for s_index, sector in enumerate(split_sectors(system, basis)):
+    for sector in split_sectors(system, basis):
         Hs = H[sector.indices][:, sector.indices]
-        energy, vec = _lowest_eigenpair(Hs, config, s_index)
-        found.append((sector.label, energy, vec, sector.indices))
+        n_comp, label = connected_components(Hs, directed=False)
+        best = None
+        for comp in range(n_comp):
+            idx = np.flatnonzero(label == comp)
+            vals, vecs = scipy.linalg.eigh(Hs[idx][:, idx].toarray(),
+                                           subset_by_index=[0, 0])
+            if best is None or vals[0] < best[0]:
+                best = (vals[0], vecs[:, 0], sector.indices[idx])
+        found.append((sector.label,) + best)
     e_min = min(item[1] for item in found)
     degenerate = sorted(item[0] for item in found
                         if item[1] - e_min <= config.degeneracy_tol)
@@ -753,10 +854,10 @@ def block_solves(monkeypatch):
             self.solved = []
             made.append(self)
 
-        def lowest(self, seed, todo=None):
+        def lowest(self, todo=None, start=None):
             self.solved.append(np.ones(len(self.sizes), dtype=bool)
                                if todo is None else todo.copy())
-            return super().lowest(seed, todo)
+            return super().lowest(todo, start)
 
     monkeypatch.setattr(quantum, "_Blocks", Recording)
     return made
@@ -783,16 +884,26 @@ class TestChargeBlocks:
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
     @given(drawn=_systems(st.integers(2, 4)), atoms=st.integers(1, 3),
-           cut=st.integers(0, 5), threshold=st.sampled_from([2, 8, 300]))
-    @example(drawn=(_triangle(), 0), atoms=2, cut=4, threshold=300)
-    @example(drawn=(_triangle(), 2), atoms=3, cut=3, threshold=2)
-    def test_matches_component_route(self, drawn, atoms, cut, threshold):
+           cut=st.integers(0, 5), threshold=st.sampled_from([2, 8, 300]),
+           rwa=st.booleans())
+    @example(drawn=(_triangle(), 0), atoms=2, cut=4, threshold=300, rwa=True)
+    @example(drawn=(_triangle(), 2), atoms=3, cut=3, threshold=2, rwa=True)
+    # full model, sectors split by a zero coupling into several Lanczos blocks
+    @example(drawn=(_xi(2.0, 0.0), 0), atoms=1, cut=3, threshold=2,
+             rwa=False)
+    @example(drawn=(_xi(0.0, 1.5), 0), atoms=2, cut=3, threshold=2,
+             rwa=False)
+    @example(drawn=(_triangle(), 4), atoms=2, cut=3, threshold=8, rwa=False)
+    def test_matches_component_route(self, drawn, atoms, cut, threshold,
+                                     rwa):
         system, zero = drawn
         system = _with_zeros(system, zero)
         cut = min(cut, self.CAP[system.n])
+        if not rwa:  # full-model sectors solve densely in the reference
+            atoms = min(atoms, 2)
         config = SolverConfig(dense_threshold=threshold)
-        got = ground_state(system, atoms, cut, rwa=True, config=config)
-        want = _component_route(system, atoms, cut, config)
+        got = ground_state(system, atoms, cut, rwa=rwa, config=config)
+        want = _component_route(system, atoms, cut, config, rwa)
         assert got.sector == want["sector"]
         assert got.degenerate_sectors == want["degenerate_sectors"]
         assert got.energy == pytest.approx(want["energy"], abs=1e-10)
@@ -825,7 +936,7 @@ class TestChargeBlocks:
         blocks, = block_solves
         solved, = blocks.solved
         assert 0 < solved.sum() < len(solved) / 2
-        want = _component_route(system, 4, cut, SolverConfig())
+        want = _component_route(system, 4, cut, SolverConfig(), rwa=True)
         assert result.sector_energies == pytest.approx(
             want["sector_energies"], abs=1e-10)
 
