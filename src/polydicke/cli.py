@@ -114,9 +114,11 @@ def _resolve_axes(args, system: AtomicSystem,
     if not args.axes:
         return []
     pairs = [_parse_pair(a) for a in args.axes]
-    for p in pairs:
+    for m, p in enumerate(pairs):
         if p not in system.pairs:
             raise CliError(f"unknown transition {p[0]}-{p[1]} in axes")
+        if p in pairs[:m]:
+            raise CliError(f"transition {p[0]}-{p[1]} given twice in axes")
     if not minimum <= len(pairs) <= maximum:
         raise CliError(f"expected between {minimum} and {maximum} axes")
     ranges = [_parse_range(r) for r in (args.range or [])]
@@ -258,27 +260,25 @@ def cmd_phase_diagram(args) -> int:
 def _observable_rows(system: AtomicSystem, sweep_name: str,
                      sweep_values: Sequence[float], couplings_at,
                      rwa: bool = False) -> Tuple[List[str], List[List[str]]]:
-    pairs = sorted(p for p in couplings_at(sweep_values[0])
-                   if f"mu_{p[0]}_{p[1]}" != sweep_name)
+    points = [couplings_at(value) for value in sweep_values]
+    swept = sorted(points[0])
+    pairs = [p for p in swept if f"mu_{p[0]}_{p[1]}" != sweep_name]
     header = ([sweep_name] + [f"mu_{j}_{k}" for j, k in pairs]
               + observables.csv_header(system.n) + ["discontinuity"])
+    columns = {p: [float(mu[p]) for mu in points] for p in swept}
+    table = phasemap.sweep_observables(system, columns, rwa=rwa)
     rows = []
     previous_region = None
-    for value in sweep_values:
-        mu = couplings_at(value)
-        local = system.with_couplings(mu)
-        if rwa:
-            local = symmetries.rwa_rescale(local)
-        best = variational.minimize(local)
-        obs = observables.expectations(local, best)
+    for value, mu, obs in zip(sweep_values, points, table):
+        region = obs[0]
         marker = 0
-        if previous_region is not None and obs.region != previous_region:
-            if phasemap.transition_order(previous_region, obs.region) == 1:
+        if previous_region is not None and region != previous_region:
+            if phasemap.transition_order(previous_region, region) == 1:
                 marker = 1
-        previous_region = obs.region
+        previous_region = region
         rows.append([repr(float(value))]
                     + [repr(float(mu[p])) for p in pairs]
-                    + obs.csv_row() + [str(marker)])
+                    + obs + [str(marker)])
     return header, rows
 
 
@@ -296,6 +296,8 @@ def cmd_observables(args) -> int:
         for p in (pa, pb):
             if p not in system.pairs:
                 raise CliError(f"unknown transition {p} in --zeta")
+        if pa == pb:
+            raise CliError(f"--zeta names transition {pa[0]}-{pa[1]} twice")
         lo, hi = _parse_range(args.range[0]) if args.range else (0.0, math.pi / 2)
         radius = args.mu
         values = np.linspace(lo, hi, args.res)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
 from .model import AtomicSystem, Pair, require_valid
-from .variational import KIND_NORMAL, VariationalCandidate, condensate
+from .variational import (KIND_NORMAL, VariationalCandidate, condensate,
+                          minimize_array)
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,36 @@ def csv_header(n: int) -> List[str]:
             + ["coh", "var_pop"])
 
 
+class PairObservables(NamedTuple):
+    """Observables of one pair's condensate, elementwise over its coupling."""
+
+    nu: np.ndarray          # <nu_jk>, which is also its variance
+    pop_low: np.ndarray     # <A_jj>
+    pop_high: np.ndarray    # <A_kk>
+    coh: np.ndarray         # |<A_jk>|
+    var_pop: np.ndarray     # (Delta A)^2 of both occupied levels
+
+
+def condensate_observables(system: AtomicSystem, pair: Pair,
+                           mu=None) -> PairObservables:
+    """Closed-form observables of the condensate of `pair` (see the module
+    docstring), as 1-d arrays over mu.
+
+    mu lists couplings at which the condensate exists and defaults to the
+    transition's own.  (mu/Omega)^2 is Python's float power, element by
+    element, which rounds differently from a NumPy product in the last bit.
+    """
+    t = system.transition(pair)
+    mu = np.atleast_1d(np.asarray(t.mu if mu is None else mu, dtype=float))
+    b_over_a = condensate(system, pair, mu).b_over_a
+    spread = 1.0 - b_over_a * b_over_a
+    p_low = 0.5 * (1.0 + b_over_a)
+    square = np.array([x ** 2 for x in (mu / t.Omega).tolist()])
+    return PairObservables(nu=square * spread, pop_low=p_low,
+                           pop_high=1.0 - p_low, coh=0.5 * np.sqrt(spread),
+                           var_pop=0.25 * spread)
+
+
 def expectations(system: AtomicSystem,
                  candidate: VariationalCandidate) -> ObservableSet:
     """Observable set of an existing candidate."""
@@ -88,20 +119,54 @@ def expectations(system: AtomicSystem,
     if candidate.kind == KIND_NORMAL:
         pop[0] = 1.0
     else:
-        t = system.transition(candidate.pair)
-        b_over_a = float(condensate(system, candidate.pair).b_over_a)
-        spread = 1.0 - b_over_a * b_over_a
-        p_low = 0.5 * (1.0 + b_over_a)
-        pop[t.j - 1] = p_low
-        pop[t.k - 1] = 1.0 - p_low
-        nu[candidate.pair] = (t.mu / t.Omega) ** 2 * spread
-        var_nu[candidate.pair] = nu[candidate.pair]
-        coh[candidate.pair] = 0.5 * math.sqrt(spread)
-        var_pop[t.j - 1] = 0.25 * spread
-        var_pop[t.k - 1] = 0.25 * spread
+        j, k = candidate.pair
+        obs = condensate_observables(system, candidate.pair)
+        pop[j - 1], pop[k - 1] = obs.pop_low.item(), obs.pop_high.item()
+        nu[candidate.pair] = var_nu[candidate.pair] = obs.nu.item()
+        coh[candidate.pair] = obs.coh.item()
+        var_pop[j - 1] = var_pop[k - 1] = obs.var_pop.item()
     return ObservableSet(region=candidate.region, nu=nu, pop=tuple(pop),
                          coh=coh, coh_phase=coh_phase,
                          var_pop=tuple(var_pop), var_nu=var_nu)
+
+
+def sweep_rows(system: AtomicSystem,
+               mu: Mapping[Pair, np.ndarray]) -> List[List[str]]:
+    """:meth:`ObservableSet.csv_row` of the variational ground state at each
+    point of a sweep, from arrays.
+
+    mu maps the swept pairs to 1-d arrays of couplings of equal length; the
+    other pairs keep the system's.  Each point's ground state is
+    :func:`variational.minimize_array`'s, and each pair's columns come from
+    one :func:`condensate_observables` call over the points it wins.  The
+    caller validates the couplings.
+    """
+    size = len(next(iter(mu.values())))
+    best, _ = minimize_array(system, mu, (size,))
+    region = np.full(size, "N", dtype=object)
+    tag = np.full(size, "-", dtype=object)
+    nu, coh, var = np.zeros(size), np.zeros(size), np.zeros(size)
+    pop = np.zeros((system.n, size))
+    pop[0, best == 0] = 1.0
+    for m, (j, k) in enumerate(system.pairs, start=1):
+        at = np.flatnonzero(best == m)
+        if not at.size:
+            continue
+        coupling = mu.get((j, k), system.transition((j, k)).mu)
+        obs = condensate_observables(
+            system, (j, k), np.broadcast_to(coupling, (size,))[at])
+        region[at] = f"S_{j}_{k}"
+        pop[j - 1, at] = obs.pop_low
+        pop[k - 1, at] = obs.pop_high
+        # as in csv_row, the pair is reported only where it holds photons
+        active = obs.nu > 0.0
+        on = at[active]
+        tag[on] = f"{j}-{k}"
+        nu[on], coh[on], var[on] = (obs.nu[active], obs.coh[active],
+                                    obs.var_pop[active])
+    columns = ([region.tolist(), tag.tolist()]
+               + [list(map(repr, c.tolist())) for c in (nu, *pop, coh, var)])
+    return [list(row) for row in zip(*columns)]
 
 
 def photon_distribution(system: AtomicSystem, candidate: VariationalCandidate,

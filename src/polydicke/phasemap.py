@@ -5,8 +5,10 @@ collective region per mode.  Boundaries against the normal region are
 closed-form: a bifurcation (second order) when the condensate involves the
 ground level, a Maxwell set (first order) otherwise.  Boundaries between two
 collective regions are Maxwell sets located by bracketing bisection on the
-energy equality; an algebraic form of the same locus is evaluated alongside
-as a cross-check and the worst disagreement is recorded on the curve.
+energy equality, one array bisection over all sampled points of a curve; an
+algebraic form of the same locus is evaluated alongside as a cross-check and
+the worst disagreement is recorded on the curve.  Grid scans and observable
+sweeps are array evaluations of the same closed forms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .model import AtomicSystem, Pair, require_valid
 from .symmetries import rwa_rescale
-from . import variational
+from . import observables, variational
 
 BISECTION_TOL = 1e-10
 
@@ -137,30 +139,17 @@ class SeparatrixCurve:
         }
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float,
-            tol: float) -> float:
-    flo = fn(lo)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
                         sweep: BoundarySweep) -> SeparatrixCurve:
     """Locus of equal condensate energies E_a(mu_a) = E_b(mu_b).
 
-    For each sampled mu_b, mu_a is found by bracketing bisection after a
-    coarse sign scan over the solve range; samples where both candidates
-    never coexist with a sign change are skipped.  All such boundaries are
-    Maxwell sets (order 1).  Returns an empty curve with a message when no
-    sample roots.
+    For each sampled mu_b, mu_a is found by bracketing bisection inside the
+    first cell of a coarse sign scan over the solve range; samples where
+    both candidates never coexist with a sign change are skipped.  All
+    samples are bisected together as arrays, one condensate call per step,
+    each stopping once its bracket is at most tol wide (200 steps at most).
+    All such boundaries are Maxwell sets (order 1).  Returns an empty curve
+    with a message when no sample roots.
     """
     require_valid(system)
     pair_a, pair_b = tuple(pair_a), tuple(pair_b)
@@ -169,33 +158,43 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
     label_a = str(RegionLabel(pair_a))
     label_b = str(RegionLabel(pair_b))
     lo, hi = sweep.solve_range
-    points: List[Tuple[float, float]] = []
-    worst_zeta = None
     grid = np.linspace(lo, hi, sweep.scan_points)
+    fixed = np.asarray(sweep.fixed_values, dtype=float)
     scan = variational.condensate(system, pair_a, grid).energy
-    targets = variational.condensate(system, pair_b, sweep.fixed_values).energy
-    for mu_b, target in zip(sweep.fixed_values, targets.tolist()):
-        if not math.isfinite(target):
-            continue
-        vals = scan - target
-        # first scan cell whose ends both exist and bracket (or hit) the root
-        hit = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (
-            (vals[:-1] == 0.0) | ((vals[:-1] < 0.0) != (vals[1:] < 0.0)))
-        if not hit.any():
-            continue
-        i = int(np.argmax(hit))
-
-        def diff(mu_a: float) -> float:
-            return float(variational.condensate(system, pair_a, mu_a).energy) - target
-
-        root = (float(grid[i]) if vals[i] == 0.0 else
-                _bisect(diff, float(grid[i]), float(grid[i + 1]), sweep.tol))
-        points.append((root, float(mu_b)))
-        # per point, the matching algebraic root is the closer sign branch
-        # (the other one lies outside the collective regime); record the
-        # worst per-point disagreement over the curve
+    targets = variational.condensate(system, pair_b, fixed).energy
+    # one row per sample; where a condensate is absent its energy is +inf,
+    # so the row's differences are not finite and bracket nothing
+    with np.errstate(invalid="ignore"):
+        vals = scan - targets[:, np.newaxis]
+    finite = np.isfinite(vals)
+    # first scan cell whose ends both exist and bracket (or hit) the root
+    hit = finite[:, :-1] & finite[:, 1:] & (
+        (vals[:, :-1] == 0.0) | ((vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0)))
+    rows = np.flatnonzero(hit.any(axis=1))
+    cell = np.argmax(hit[rows], axis=1) if rows.size else rows
+    target = targets[rows]
+    lo_mu, hi_mu = grid[cell], grid[cell + 1]
+    f_lo = vals[rows, cell]
+    exact = f_lo == 0.0
+    for _ in range(200):
+        open_ = hi_mu - lo_mu > sweep.tol
+        if not open_.any():
+            break
+        mid = 0.5 * (lo_mu + hi_mu)
+        f_mid = variational.condensate(system, pair_a, mid).energy - target
+        up = open_ & ((f_lo < 0.0) == (f_mid < 0.0))
+        lo_mu = np.where(up, mid, lo_mu)
+        f_lo = np.where(up, f_mid, f_lo)
+        hi_mu = np.where(open_ & ~up, mid, hi_mu)
+    roots = np.where(exact, grid[cell], 0.5 * (lo_mu + hi_mu))
+    points = tuple(zip(roots.tolist(), fixed[rows].tolist()))
+    # per point, the matching algebraic root is the closer sign branch
+    # (the other one lies outside the collective regime); record the worst
+    # per-point disagreement over the curve
+    worst_zeta = None
+    for root, mu_b in points:
         dists = [abs(z - root)
-                 for z in _zeta_boundary(system, pair_a, pair_b, float(mu_b))
+                 for z in _zeta_boundary(system, pair_a, pair_b, mu_b)
                  if z is not None]
         if dists:
             d = min(dists)
@@ -204,7 +203,7 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
     return SeparatrixCurve(
         kind="collective-collective", label_a=label_a, label_b=label_b,
         order=1, solve_pair=pair_a, fixed_pair=pair_b,
-        points=tuple(points), zeta_max_discrepancy=worst_zeta, message=message,
+        points=points, zeta_max_discrepancy=worst_zeta, message=message,
     )
 
 
@@ -312,21 +311,43 @@ class PhaseGrid:
         return "\n".join(lines) + "\n"
 
 
+def _validated_base(system: AtomicSystem,
+                    columns: Mapping[Pair, Sequence[float]],
+                    rwa: bool) -> AtomicSystem:
+    """The system whose full-model closed forms a scan evaluates.
+
+    columns holds each swept coupling's values.  Two validations cover every
+    point: each swept coupling at its least admissible value (non-finite
+    first), then at its largest.  Every coupling is halved when rwa is set;
+    the swept ones are the caller's to halve.
+    """
+    edge = system.with_couplings({
+        p: min(v, key=lambda m: (math.isfinite(m), m))
+        for p, v in columns.items()
+    })
+    base = rwa_rescale(edge) if rwa else require_valid(edge)
+    require_valid(system.with_couplings(
+        {p: max(v) for p, v in columns.items()}))
+    return base
+
+
 def scan_grid(system: AtomicSystem,
               axes: Sequence[Tuple[Pair, Tuple[float, float]]],
               resolution: Union[int, Sequence[int]],
               rwa: bool = False) -> PhaseGrid:
     """Classify every grid cell by its variational ground-state region.
 
-    axes lists up to three (pair, (lo, hi)) entries; resolution is shared or
-    per-axis.  Each cell holds the minimum of the candidate energies
-    (normal, then the condensates in pair order, the first minimum winning
-    as in :func:`variational.minimize`), evaluated as arrays over the whole
-    grid with every coupling halved when rwa is set.
+    axes lists up to three (pair, (lo, hi)) entries with distinct pairs;
+    resolution is shared or per-axis.  Each cell holds the minimum of the
+    candidate energies (normal, then the condensates in pair order, the
+    first minimum winning as in :func:`variational.minimize`), evaluated as
+    arrays over the whole grid with every coupling halved when rwa is set.
     """
     if not 1 <= len(axes) <= 3:
         raise ValueError("between 1 and 3 varying couplings are supported")
     pairs = [tuple(p) for p, _ in axes]
+    if len(set(pairs)) != len(pairs):
+        raise ValueError(f"repeated axis pair in {pairs}")
     res = ((resolution,) * len(axes) if isinstance(resolution, int)
            else tuple(resolution))
     if len(res) != len(axes) or any(r < 1 for r in res):
@@ -335,25 +356,30 @@ def scan_grid(system: AtomicSystem,
         tuple(float(v) for v in np.linspace(lo, hi, r))
         for (_, (lo, hi)), r in zip(axes, res)
     )
-    # two validations cover every cell: each axis at its least admissible
-    # value (non-finite first), then at its largest
-    edge = system.with_couplings({
-        p: min(v, key=lambda m: (math.isfinite(m), m))
-        for p, v in zip(pairs, values)
-    })
-    base = rwa_rescale(edge) if rwa else require_valid(edge)
-    require_valid(system.with_couplings(
-        {p: max(v) for p, v in zip(pairs, values)}))
+    base = _validated_base(system, dict(zip(pairs, values)), rwa)
     scale = 0.5 if rwa else 1.0
     mesh = np.meshgrid(*(scale * np.array(v) for v in values), indexing="ij")
     mu = {base.transition(p).pair: m for p, m in zip(pairs, mesh)}
-    stack = np.stack([np.zeros(res)] + [
-        np.broadcast_to(variational.condensate(base, p, mu.get(p)).energy, res)
-        for p in base.pairs
-    ])
-    best = np.argmin(stack, axis=0)
+    best, energies = variational.minimize_array(base, mu, res)
     tags = np.array(["N"] + [str(RegionLabel(p)) for p in base.pairs],
                     dtype=object)
-    energies = np.take_along_axis(stack, best[np.newaxis], axis=0)[0]
     return PhaseGrid(axes=tuple(pairs), axis_values=values, labels=tags[best],
                      energies=energies, rwa=rwa)
+
+
+def sweep_observables(system: AtomicSystem,
+                      couplings: Mapping[Pair, Sequence[float]],
+                      rwa: bool = False) -> List[List[str]]:
+    """Observables of the variational ground state along a coupling sweep.
+
+    couplings maps each swept pair to its values, one per point; the other
+    couplings keep the system's.  Returns one
+    :meth:`observables.ObservableSet.csv_row` per point, from one array
+    evaluation over the sweep with every coupling halved when rwa is set,
+    after the same two validations as :func:`scan_grid`.
+    """
+    base = _validated_base(system, couplings, rwa)
+    scale = 0.5 if rwa else 1.0
+    mu = {base.transition(p).pair: scale * np.array(v, dtype=float)
+          for p, v in couplings.items()}
+    return observables.sweep_rows(base, mu)

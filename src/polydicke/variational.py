@@ -292,6 +292,23 @@ def minimize(system: AtomicSystem) -> VariationalCandidate:
                key=lambda c: c.energy)
 
 
+def minimize_array(system: AtomicSystem, mu: Mapping[Pair, np.ndarray],
+                   shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`minimize` elementwise over arrays of couplings.
+
+    mu maps pairs to couplings broadcastable to shape; the other pairs keep
+    the system's.  Returns the index of the least candidate in
+    :func:`candidates` order (0 the normal point, m the m-th pair) and its
+    energy, ties going to the first candidate as in :func:`minimize`.
+    """
+    stack = np.stack([np.zeros(shape)] + [
+        np.broadcast_to(condensate(system, p, mu.get(p)).energy, shape)
+        for p in system.pairs
+    ])
+    best = np.argmin(stack, axis=0)
+    return best, np.take_along_axis(stack, best[np.newaxis], axis=0)[0]
+
+
 @dataclass(frozen=True)
 class NumericMinimum:
     matter: MatterAmplitudes

@@ -5,8 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from polydicke import (cascade_system, condensate, minimize, rwa_rescale,
+                       transition_order)
+from polydicke import cli
 from polydicke.cli import main
 
 CASCADE = {
@@ -27,6 +31,66 @@ def system_file(tmp_path):
         path.write_text(json.dumps(data))
         return str(path)
     return write
+
+
+CASCADE4 = {
+    "n": 4,
+    "omega": [0.0, 1.0, 1.7, 2.0],
+    "transitions": [
+        {"j": 1, "k": 2, "Omega": 1.0, "mu": 1.0},
+        {"j": 2, "k": 3, "Omega": 0.7, "mu": 1.0},
+        {"j": 3, "k": 4, "Omega": 0.3, "mu": 1.0},
+    ],
+    "atom_count": 1,
+}
+
+
+def _csv_row_reference(system, best):
+    """ObservableSet.csv_row of the scalar closed form that expectations
+    evaluated at one point."""
+    pop = [0.0] * system.n
+    if best.pair is None:
+        pop[0] = 1.0
+        return ["N", "-", "0.0"] + [repr(v) for v in pop] + ["0.0", "0.0"]
+    t = system.transition(best.pair)
+    b_over_a = float(condensate(system, best.pair).b_over_a)
+    spread = 1.0 - b_over_a * b_over_a
+    p_low = 0.5 * (1.0 + b_over_a)
+    pop[t.j - 1] = p_low
+    pop[t.k - 1] = 1.0 - p_low
+    nu = (t.mu / t.Omega) ** 2 * spread
+    if nu > 0.0:
+        tag, coh, var = f"{t.j}-{t.k}", 0.5 * math.sqrt(spread), 0.25 * spread
+    else:
+        tag, nu, coh, var = "-", 0.0, 0.0, 0.0
+    return ([best.region, tag, repr(nu)] + [repr(v) for v in pop]
+            + [repr(coh), repr(var)])
+
+
+def _observable_rows_reference(system, sweep_name, sweep_values,
+                               couplings_at, rwa=False):
+    """The per-point with_couplings -> minimize -> expectations chain that
+    cli._observable_rows replaced."""
+    pairs = sorted(p for p in couplings_at(sweep_values[0])
+                   if f"mu_{p[0]}_{p[1]}" != sweep_name)
+    rows = []
+    previous_region = None
+    for value in sweep_values:
+        mu = couplings_at(value)
+        local = system.with_couplings(mu)
+        if rwa:
+            local = rwa_rescale(local)
+        best = minimize(local)
+        obs = _csv_row_reference(local, best)
+        marker = 0
+        if previous_region is not None and obs[0] != previous_region:
+            if transition_order(previous_region, obs[0]) == 1:
+                marker = 1
+        previous_region = obs[0]
+        rows.append([repr(float(value))]
+                    + [repr(float(mu[p])) for p in pairs]
+                    + obs + [str(marker)])
+    return rows
 
 
 def read_csv(path):
@@ -197,6 +261,114 @@ class TestObservables:
         assert all(r["region"] == "N" for r in rows)
         assert all(float(r["pop_1"]) == 1.0 for r in rows)
         assert all(float(r["nu"]) == 0.0 for r in rows)
+
+
+class TestObservableRows:
+    @pytest.mark.parametrize("config", ["xi", "vee", "lam", "cascade4"])
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_rows_match_per_point_chain(self, request, config, rwa):
+        make = request.getfixturevalue(config)
+        rng = np.random.default_rng(7 + rwa)
+        for _ in range(8):
+            system = make(*rng.uniform(0.0, 2.0, 3 if config == "cascade4"
+                                       else 2).tolist())
+            pairs = system.pairs
+            pair = pairs[int(rng.integers(len(pairs)))]
+            lo = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+            values = np.linspace(lo, lo + float(rng.uniform(0.5, 3.0)),
+                                 int(rng.integers(2, 250)))
+            name = f"mu_{pair[0]}_{pair[1]}"
+
+            def along_axis(v):
+                return {pair: float(v)}
+
+            header, rows = cli._observable_rows(system, name, values,
+                                                along_axis, rwa=rwa)
+            assert header[0] == name and len(header) == len(rows[0])
+            assert rows == _observable_rows_reference(system, name, values,
+                                                      along_axis, rwa=rwa)
+            i, j = rng.choice(len(pairs), 2, replace=False)
+            pa, pb = pairs[i], pairs[j]
+            radius = float(rng.uniform(0.2, 3.0))
+            values = np.linspace(0.0, math.pi / 2, int(rng.integers(2, 250)))
+
+            def polar(z):
+                return {pa: radius * math.cos(z), pb: radius * math.sin(z)}
+
+            _, rows = cli._observable_rows(system, "zeta", values, polar,
+                                           rwa=rwa)
+            assert rows == _observable_rows_reference(system, "zeta", values,
+                                                      polar, rwa=rwa)
+
+    def test_photon_number_squares_as_python_floats(self, system_file,
+                                                    tmp_path):
+        # at this coupling (Omega_12 = 1) Python's float power and a NumPy
+        # product give different last bits of (mu/Omega)^2, and of nu
+        out = tmp_path / "obs.csv"
+        assert main(["observables", "--system", system_file(),
+                     "--axes", "1-2", "--range", "0:2", "--res", "42",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        mu = 1.6097560975609757
+        row = next(r for r in rows if r["mu_1_2"] == repr(mu))
+        system = cascade_system([0.0, 1.0, 1.3], [1.0, 0.5], [mu, 1.0])
+        b_over_a = float(condensate(system, (1, 2)).b_over_a)
+        spread = 1.0 - b_over_a * b_over_a
+        assert row["region"] == "S_1_2"
+        assert row["nu"] == repr(mu ** 2 * spread) == "2.5671956624134378"
+        assert repr(mu * mu * spread) != row["nu"]
+
+    @pytest.mark.parametrize("sweep", [
+        ["--axes", "1-2", "--range=-0.5:1"],
+        ["--axes", "1-2", "--range", "0:nan"],
+        ["--axes", "2-3", "--range", "0:1e200"],
+        ["--zeta", "1-2,2-3", "--range=-0.3:1"],
+        ["--zeta", "1-2,2-3", "--mu", "nan"],
+        ["--zeta", "1-2,2-3", "--mu", "1e100"],
+    ])
+    @pytest.mark.parametrize("rwa", [[], ["--rwa"]])
+    def test_invalid_sweep_exits_1(self, system_file, tmp_path, sweep, rwa):
+        out = tmp_path / "obs.csv"
+        code = main(["observables", "--system", system_file(),
+                     "--res", "9", "--out", str(out)] + sweep + rwa)
+        assert code == 1
+        assert not out.exists()
+
+
+class TestRepeatedTransitions:
+    """A transition named twice is a configuration error, caught before any
+    file is written."""
+
+    def _refused(self, argv, out, capsys):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "twice" in capsys.readouterr().err
+        # the system file is all the directory holds
+        system = Path(argv[argv.index("--system") + 1])
+        assert list(out.parent.iterdir()) == [system]
+
+    def test_phase_diagram_cascade4(self, system_file, tmp_path, capsys):
+        self._refused(["phase-diagram", "--system",
+                       system_file(CASCADE4, "c4.json"), "--axes", "1-2",
+                       "--axes", "1-2", "--axes", "2-3", "--range", "0:2",
+                       "--res", "5"], tmp_path / "grid.csv", capsys)
+
+    def test_phase_diagram_xi_writes_no_grid(self, system_file, tmp_path,
+                                             capsys):
+        self._refused(["phase-diagram", "--system", system_file(),
+                       "--axes", "1-2", "--axes", "1-2", "--range", "0:2",
+                       "--res", "5"], tmp_path / "grid.csv", capsys)
+
+    def test_observables_zeta(self, system_file, tmp_path, capsys):
+        self._refused(["observables", "--system", system_file(),
+                       "--zeta", "1-2,1-2", "--res", "5"],
+                      tmp_path / "zeta.csv", capsys)
+
+    @pytest.mark.parametrize("command", ["observables", "exact", "compare"])
+    def test_axes(self, system_file, tmp_path, capsys, command):
+        extra = [] if command == "observables" else ["--cutoff", "2"]
+        self._refused([command, "--system", system_file(), "--axes", "2-3",
+                       "--axes", "2-3", "--range", "0:1", "--res", "2"]
+                      + extra, tmp_path / "out.csv", capsys)
 
 
 class TestExact:

@@ -5,6 +5,7 @@ import pytest
 
 from polydicke import (
     candidates,
+    cascade_system,
     expectations,
     matter_distribution,
     minimize,
@@ -12,6 +13,7 @@ from polydicke import (
     universal_relation_residual,
     variational_state_params,
 )
+from polydicke.observables import sweep_rows
 from conftest import random_system
 
 
@@ -110,6 +112,32 @@ class TestExpectations:
         assert below.pop[0] == 1.0
         assert above.pop[0] == 0.0
         assert above.nu[(2, 3)] > 1.5
+
+
+class TestSweepRows:
+    def test_rows_are_csv_rows_of_each_point(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            system = random_system(rng, int(rng.integers(2, 5)))
+            pair = system.pairs[int(rng.integers(len(system.pairs)))]
+            mu = rng.uniform(0.0, 3.0, 40)
+            rows = sweep_rows(system, {pair: mu})
+            for value, row in zip(mu.tolist(), rows):
+                local = system.with_couplings({pair: value})
+                assert row == expectations(local, minimize(local)).csv_row()
+
+    def test_underflowing_photon_number_reports_no_pair(self):
+        # (mu/Omega)^2 = 1e-326 underflows to 0 while the condensate still
+        # wins; csv_row then names no active pair, and neither do the rows
+        system = cascade_system([0.0, 1e-130], [1e200], [1e37])
+        mu = np.array([1e37, 3e37, 1e20])
+        rows = sweep_rows(system, {(1, 2): mu})
+        for value, row in zip(mu.tolist(), rows):
+            local = system.with_couplings({(1, 2): value})
+            assert row == expectations(local, minimize(local)).csv_row()
+        assert [row[:3] for row in rows] == [
+            ["S_1_2", "-", "0.0"], ["S_1_2", "-", "0.0"], ["N", "-", "0.0"]]
+        assert float(rows[0][3]) < 1.0
 
 
 class TestDistributions:

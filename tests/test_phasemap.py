@@ -1,22 +1,31 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydicke import (
     BoundarySweep,
     InvalidSystemError,
     RegionLabel,
+    SeparatrixCurve,
     collective_boundary,
+    condensate,
     ehrenfest_probe,
     minimize,
     normal_boundary,
     rwa_rescale,
     scan_grid,
     transition_order,
+    vee_system,
 )
+from polydicke.phasemap import _zeta_boundary, sweep_observables
+
+from conftest import random_system
 
 MU_STAR_12 = 0.5
 MU_STAR_23 = math.sqrt(0.5) * (1.0 + math.sqrt(1.3)) / 2.0   # 0.7566662780
@@ -55,6 +64,69 @@ def _csv_per_cell(grid, header_lines=()):
         row.append(repr(float(grid.energies[index])))
         writer.writerow(row)
     return buf.getvalue()
+
+
+def _bisect_reference(fn, lo, hi, tol):
+    flo = fn(lo)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _collective_boundary_reference(system, pair_a, pair_b, sweep):
+    """The per-sample scalar bisection that collective_boundary replaced."""
+    lo, hi = sweep.solve_range
+    points = []
+    worst_zeta = None
+    grid = np.linspace(lo, hi, sweep.scan_points)
+    scan = condensate(system, pair_a, grid).energy
+    targets = condensate(system, pair_b, sweep.fixed_values).energy
+    for mu_b, target in zip(sweep.fixed_values, targets.tolist()):
+        if not math.isfinite(target):
+            continue
+        vals = scan - target
+        hit = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (
+            (vals[:-1] == 0.0) | ((vals[:-1] < 0.0) != (vals[1:] < 0.0)))
+        if not hit.any():
+            continue
+        i = int(np.argmax(hit))
+
+        def diff(mu_a):
+            return float(condensate(system, pair_a, mu_a).energy) - target
+
+        root = (float(grid[i]) if vals[i] == 0.0 else
+                _bisect_reference(diff, float(grid[i]), float(grid[i + 1]),
+                                  sweep.tol))
+        points.append((root, float(mu_b)))
+        dists = [abs(z - root)
+                 for z in _zeta_boundary(system, pair_a, pair_b, float(mu_b))
+                 if z is not None]
+        if dists:
+            d = min(dists)
+            worst_zeta = d if worst_zeta is None else max(worst_zeta, d)
+    message = "" if points else "no root: regions do not touch in the sweep range"
+    return SeparatrixCurve(
+        kind="collective-collective", label_a=str(RegionLabel(pair_a)),
+        label_b=str(RegionLabel(pair_b)), order=1, solve_pair=pair_a,
+        fixed_pair=pair_b, points=tuple(points),
+        zeta_max_discrepancy=worst_zeta, message=message,
+    )
+
+
+def _assert_same_curve(system, pair_a, pair_b, sweep):
+    """Array and scalar bisection give the same sidecar bytes."""
+    got = collective_boundary(system, pair_a, pair_b, sweep)
+    want = _collective_boundary_reference(system, pair_a, pair_b, sweep)
+    assert (json.dumps(got.to_json_dict())
+            == json.dumps(want.to_json_dict()))
+    return got
 
 
 def cascade_path(system, pair, fixed):
@@ -125,6 +197,94 @@ class TestCollectiveBoundary:
         )
         assert curve.points == ()
         assert "no root" in curve.message
+
+
+class TestArrayBisection:
+    CONFIGS = ("xi", "vee", "lam", "cascade4")
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_sidecar_sweeps_match_scalar_bisection(self, request, config,
+                                                   scale):
+        # the sweeps the phase-diagram sidecar runs, at full and half
+        # (rotating-wave) coupling, on random couplings and ranges
+        make = request.getfixturevalue(config)
+        rng = np.random.default_rng(11 if scale == 1.0 else 12)
+        rooted = 0
+        for _ in range(12):
+            system = make(*rng.uniform(0.0, 2.0, 3 if config == "cascade4"
+                                       else 2))
+            pairs = system.pairs
+            i, j = rng.choice(len(pairs), 2, replace=False)
+            pa, pb = pairs[i], pairs[j]
+            alo, blo = rng.uniform(0.0, 0.8, 2)
+            ahi, bhi = rng.uniform(1.0, 3.0, 2)
+            mb = normal_boundary(system, pb) / scale
+            fixed = np.linspace(max(blo, mb), bhi, int(rng.integers(16, 60)))
+            curve = _assert_same_curve(system, pa, pb, BoundarySweep(
+                fixed_values=tuple(scale * v for v in fixed[1:]),
+                solve_range=(scale * max(alo, 1e-9), scale * ahi)))
+            rooted += bool(curve.points)
+        assert rooted >= 6
+
+    def test_random_systems_and_scan_widths(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            system = random_system(rng, int(rng.integers(3, 5)))
+            if len(system.pairs) < 2:
+                continue
+            i, j = rng.choice(len(system.pairs), 2, replace=False)
+            lo = float(rng.uniform(0.0, 1.0))
+            hi = lo + float(rng.uniform(0.1, 4.0))
+            points = int(rng.integers(1, 80))
+            # with tol at a scan cell's width over 2**20, cells whose widths
+            # differ in the last bits close at different steps, so a sample
+            # that has finished must stay frozen while the others go on
+            grid = np.linspace(lo, hi, max(points, 2))
+            tol = float(rng.choice([1e-10, 1e-6, 1e-3, 0.0,
+                                    (grid[1] - grid[0]) / 2.0 ** 20]))
+            _assert_same_curve(
+                system, system.pairs[i], system.pairs[j], BoundarySweep(
+                    fixed_values=tuple(rng.uniform(0.0, 3.0, 25)),
+                    solve_range=(lo, hi), scan_points=points, tol=tol))
+
+    def test_bracket_stops_at_exactly_tol(self, xi):
+        # dyadic scan cells halve exactly: the brackets reach width 2**-10
+        # after 9 steps and stop there, not a step later
+        curve = _assert_same_curve(xi(), (1, 2), (2, 3), BoundarySweep(
+            fixed_values=(1.0, 1.5), solve_range=(0.5, 1.5), scan_points=3,
+            tol=2.0 ** -10))
+        for root, _ in curve.points:
+            assert (root * 2.0 ** 11) % 2.0 == 1.0
+
+    def test_step_cap_binds_on_a_tiny_root(self):
+        # both condensates exist from mu ~ 1e-100 and the root lies near
+        # 1.4e-75: closing a 1/63-wide bracket to the spacing of floats
+        # there takes about 295 halvings, so the 200-step cap decides it
+        system = vee_system(1e-200, 2e-200, Omega12=2.0, Omega13=1.0)
+        curve = _assert_same_curve(system, (1, 2), (1, 3), BoundarySweep(
+            fixed_values=(1e-75, 3e-75), solve_range=(1e-100, 1.0), tol=0.0))
+        assert [b for _, b in curve.points] == [1e-75, 3e-75]
+        # the bracket is still (1/63) / 2**200 ~ 1e-62 wide when it stops
+        assert all(1e-65 < a < 1e-60 for a, _ in curve.points)
+
+    def test_exact_scan_hit_is_the_root(self, xi):
+        # E_23 at this coupling equals E_12 at scan point 11 to the bit, so
+        # the root is that scan point and no bisection runs
+        sweep = BoundarySweep(fixed_values=(0.8166847849770655, 1.0),
+                              solve_range=(0.5, 2.0))
+        grid = np.linspace(0.5, 2.0, 64)
+        assert (condensate(xi(), (1, 2), grid[11]).energy
+                == condensate(xi(), (2, 3), 0.8166847849770655).energy)
+        curve = _assert_same_curve(xi(), (1, 2), (2, 3), sweep)
+        assert curve.points[0] == (float(grid[11]), 0.8166847849770655)
+
+    def test_no_sample_roots(self, xi):
+        for sweep in (BoundarySweep((), (0.0, 2.0)),
+                      BoundarySweep((1.0, 2.0), (0.0, 2.0), scan_points=1),
+                      BoundarySweep((math.nan, 0.1), (0.5, 2.0))):
+            curve = _assert_same_curve(xi(), (1, 2), (2, 3), sweep)
+            assert curve.points == () and "no root" in curve.message
 
 
 class TestTransitionOrder:
@@ -242,6 +402,13 @@ class TestScanGrid:
             scan_grid(xi(), [((1, 2), (0.0, hi)), ((2, 3), (0.0, 2.0))], 5,
                       rwa=rwa)
 
+    def test_rejects_repeated_axis(self, xi, cascade4):
+        with pytest.raises(ValueError, match="repeated"):
+            scan_grid(xi(), [((1, 2), (0.0, 2.0)), ((1, 2), (0.0, 1.0))], 5)
+        with pytest.raises(ValueError, match="repeated"):
+            scan_grid(cascade4(), [((1, 2), (0.0, 2.0)), ((2, 3), (0.0, 2.0)),
+                                   ((1, 2), (0.0, 2.0))], 5)
+
     def test_rejects_unknown_axis(self, xi):
         with pytest.raises(KeyError):
             scan_grid(xi(), [((1, 3), (0.0, 2.0))], 5)
@@ -270,3 +437,50 @@ class TestScanGrid:
         assert first[0] == "# seed: 0"
         assert first[1] == "mu_1_2,mu_2_3,region,energy"
         assert "np." not in text
+
+
+def _grids():
+    """(system, axes, resolution): a random system and distinct swept pairs."""
+    return st.builds(_grid_case, st.integers(0, 2 ** 32 - 1),
+                     st.integers(2, 4), st.integers(1, 3), st.integers(2, 12))
+
+
+def _grid_case(seed, n, count, res):
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, n)
+    count = min(count, len(system.pairs))
+    picked = rng.choice(len(system.pairs), count, replace=False)
+    axes = []
+    for m in picked:
+        lo = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        axes.append((system.pairs[m], (lo, lo + float(rng.uniform(0.1, 4.0)))))
+    return system, axes, res
+
+
+class TestRotatingWaveAtHalfCoupling:
+    """The rotating-wave closed forms are the full ones at halved couplings."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(case=_grids())
+    def test_scan_grid(self, case):
+        system, axes, res = case
+        rwa = scan_grid(system, axes, res, rwa=True)
+        half = scan_grid(rwa_rescale(system),
+                         [(p, (lo / 2.0, hi / 2.0)) for p, (lo, hi) in axes],
+                         res)
+        assert np.array_equal(rwa.labels, half.labels)
+        assert np.array_equal(rwa.energies, half.energies)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(case=_grids(), points=st.integers(2, 60))
+    def test_observable_sweep_rows(self, case, points):
+        system, axes, _ = case
+        couplings = {p: np.linspace(lo, hi, points).tolist()
+                     for p, (lo, hi) in axes}
+        rows = sweep_observables(system, couplings, rwa=True)
+        half = sweep_observables(
+            rwa_rescale(system),
+            {p: [v / 2.0 for v in values] for p, values in couplings.items()})
+        assert rows == half
