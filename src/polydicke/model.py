@@ -142,6 +142,7 @@ def validate(system: AtomicSystem) -> ValidationReport:
     """
     bad = []
     notes = []
+    levels_ok = False
     if system.n < 2:
         bad.append(f"need at least 2 levels, got n={system.n}")
     if len(system.omega) != system.n:
@@ -151,6 +152,7 @@ def validate(system: AtomicSystem) -> ValidationReport:
     elif not all(math.isfinite(w) for w in system.omega):
         bad.append("level energies must be finite")
     else:
+        levels_ok = True
         if system.omega[0] != 0.0:
             bad.append("level 1 energy must be 0 (energies measured from it)")
         if any(a >= b for a, b in zip(system.omega, system.omega[1:])):
@@ -164,13 +166,26 @@ def validate(system: AtomicSystem) -> ValidationReport:
         if not (1 <= t.j < t.k <= system.n):
             bad.append(f"{tag}: level indices must satisfy 1 <= j < k <= n")
             continue
-        if not 0.0 < t.Omega < math.inf:
+        mode_ok = 0.0 < t.Omega < math.inf
+        if not mode_ok:
             bad.append(f"{tag}: mode frequency must be positive and finite")
+        # the condensate energy omega_j - (A - B)^2 / (16 Omega mu^2), with
+        # A = 4 mu^2 and B = (omega_k - omega_j) Omega, needs every one of
+        # A^2, B^2 and 16 Omega mu^2 finite
         if not 0.0 <= t.mu < math.inf:
             bad.append(f"{tag}: dipolar strength must be nonnegative and finite")
         elif not math.isfinite((4.0 * t.mu * t.mu) * (4.0 * t.mu * t.mu)):
             bad.append(f"{tag}: dipolar strength {t.mu!r} overflows the "
                        f"condensate energy, whose (4 mu^2)^2 is not finite")
+        elif mode_ok and not math.isfinite(16.0 * t.Omega * t.mu * t.mu):
+            bad.append(f"{tag}: dipolar strength {t.mu!r} overflows the "
+                       f"condensate energy, whose 16 Omega mu^2 is not finite")
+        if mode_ok and levels_ok:
+            gap = (system.omega[t.k - 1] - system.omega[t.j - 1]) * t.Omega
+            if not math.isfinite(gap * gap):
+                bad.append(f"{tag}: mode frequency {t.Omega!r} overflows the "
+                           f"condensate energy, whose ((omega_k - omega_j) "
+                           f"Omega)^2 is not finite")
         if t.pair in seen:
             bad.append(f"{tag}: pair served by two modes")
         seen.add(t.pair)

@@ -26,18 +26,22 @@ are solved by size:
 * single states are read off the diagonal;
 * blocks up to the dense threshold go through stacked NumPy eigenvalue
   solves, in stacks no larger than one dense block at the threshold, and
-  only the winning blocks get an eigenvector solve;
-* larger blocks go through Lanczos.
+  only the winning blocks get an eigenvector solve; a block alone in its
+  stacks gets one LAPACK lowest-eigenpair solve instead;
+* larger blocks go through `eigsh`, a plain two-pass Lanczos for the lowest
+  eigenpair that keeps no Krylov basis.
 
 The default threshold of 300 states sits at the measured crossover: on ξ
-sector blocks, one thread, the dense lowest-eigenpair solve takes 1.4 ms at
-169 states and 42 ms at 721, and Lanczos 3.7 ms and 8.4 ms.
+sector blocks, one thread, the dense lowest-eigenpair solve takes 0.7 ms at
+169 states, 2.3 ms at 300 and 21 ms at 721, and the Lanczos solve from a
+random start 1.7 ms, 2.3-4.3 ms and 3.6 ms.
 
 Each result keeps every sector's lowest vector.  `converge_cutoff` hands
 them to the next, finer full-model solve, which embeds them all in one
 vector over its basis; a Lanczos block starts from that vector's part on
 its states when the part is nonzero, and otherwise from a seeded random
-vector.  On ξ this halves the Lanczos iterations of the fine solve.
+vector.  On ξ the fine solve then takes a third fewer Lanczos steps than
+the cold coarse one, on blocks four times larger.
 """
 
 from __future__ import annotations
@@ -47,15 +51,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 from .model import AtomicSystem, Pair, require_valid
 from .symmetries import WeightError, excitation_weights
 from .variational import candidates as _variational_candidates
 
 DEFAULT_BASIS_BUDGET = 2_000_000
+# Lanczos steps per block before the solve gives up, and the steps between
+# two convergence checks
+_LANCZOS_STEPS = 5000
+_CHECK_EVERY = 8
 
 
 class BudgetError(RuntimeError):
@@ -417,6 +425,54 @@ class QuantumGroundResult:
         return rec
 
 
+def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Lowest eigenpair of the real symmetric sparse H by plain Lanczos.
+
+    The three-term recurrence runs from v0 with no reorthogonalization and
+    no restart; every few steps the lowest Ritz pair (theta, s) of the
+    tridiagonal is taken, and the solve stops once the residual estimate
+    |beta_j s_j| falls to 1e-14 max(1, |theta|).  A second pass replays the
+    recurrence from the stored coefficients and sums the Ritz vector, so no
+    Krylov basis is kept.  Returns theta and the unit Ritz vector; raises a
+    RuntimeError after _LANCZOS_STEPS steps.
+
+    The start must overlap the lowest eigenvector.  A random start does, and
+    so does any nonnegative one on a connected block whose off-diagonal
+    elements are <= 0, as every block of a validated system is.
+    """
+    n = H.shape[0]
+    alpha: List[float] = []
+    beta: List[float] = []
+    start = v0 / np.linalg.norm(v0)
+    q, q_prev = start, np.zeros(n)
+    for j in range(_LANCZOS_STEPS):
+        w = H @ q
+        alpha.append(float(q @ w))
+        w -= alpha[j] * q
+        w -= (beta[j - 1] if j else 0.0) * q_prev
+        beta.append(math.sqrt(w @ w))
+        # a vanishing beta ends the Krylov space: check before dividing by it
+        if (j % _CHECK_EVERY == _CHECK_EVERY - 1
+                or beta[j] <= 1e-14 * max(1.0, abs(alpha[j]))):
+            theta, s = scipy.linalg.eigh_tridiagonal(
+                alpha, beta[:-1], select="i", select_range=(0, 0))
+            if abs(beta[j] * s[-1, 0]) <= 1e-14 * max(1.0, abs(theta[0])):
+                break
+        q_prev, q = q, w / beta[j]
+    else:
+        raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} "
+                           f"steps on a block of {n} states")
+    q, q_prev = start, np.zeros(n)
+    x = s[0, 0] * q
+    for j in range(len(alpha) - 1):
+        w = H @ q
+        w -= alpha[j] * q
+        w -= (beta[j - 1] if j else 0.0) * q_prev
+        q_prev, q = q, w / beta[j]
+        x += s[j + 1, 0] * q
+    return float(theta[0]), x / np.linalg.norm(x)
+
+
 class _Blocks:
     """A real symmetric matrix that is block diagonal, solved block by block.
 
@@ -439,8 +495,8 @@ class _Blocks:
         self.local[self.order] = (np.arange(len(block))
                                   - self.starts[block[self.order]])
         self.entry_block = block[rows]
-        # lowest vector and matrix of every block solved one by one:
-        # Lanczos blocks in `lowest`, dense ones in `vector`
+        # lowest vector and matrix of every block solved one by one: Lanczos
+        # and lone dense blocks in `lowest`, stacked dense ones in `vector`
         self._solved: Dict[int, Tuple[np.ndarray,
                                       Union[np.ndarray, sp.csr_matrix]]] = {}
 
@@ -482,8 +538,10 @@ class _Blocks:
 
         Single states are read off the diagonal.  Blocks up to the dense
         threshold go through stacked NumPy eigenvalue solves, each stack
-        holding at most as many entries as one block at the threshold;
-        larger blocks go through Lanczos one by one.  Lanczos on block b
+        holding at most as many entries as one block at the threshold; where
+        every stack of a size holds one block, each gets one lowest-eigenpair
+        solve instead, whose vector is kept.  Larger blocks go through
+        Lanczos (`eigsh`) one by one.  Lanczos on block b
         starts from the restriction of start (one value per state) to the
         block's states when that is nonzero, and otherwise from a random
         vector seeded by config.seed + 7919 (b + 1).
@@ -501,9 +559,8 @@ class _Blocks:
                 rng = np.random.default_rng(config.seed + 7919 * (b + 1))
                 v0 = rng.standard_normal(self.sizes[b])
             H = self.matrix(b)
-            vals, vecs = eigsh(H, k=1, which="SA", v0=v0)
-            energies[b] = vals[0]
-            self._solved[b] = vecs[:, 0], H
+            energies[b], vec = eigsh(H, v0=v0)
+            self._solved[b] = vec, H
         todo = todo & ~single & ~lanczos
         # built after the Lanczos solves, so that their peak memory omits it
         entry_size = np.where(todo[self.entry_block],
@@ -517,12 +574,21 @@ class _Blocks:
             mine = mine[np.argsort(slot[self.entry_block[mine]],
                                    kind="stable")]
             entry_slot = slot[self.entry_block[mine]]
+            # blocks of one size all take the same route, so equal blocks
+            # get equal energies and ties still go to the lowest index
+            one_per_stack = min(per_call, len(blocks)) == 1
             for lo in range(0, len(blocks), per_call):
                 hi = min(lo + per_call, len(blocks))
                 a, b = np.searchsorted(entry_slot, [lo, hi])
                 stack = self._dense(blocks[lo:hi], mine[a:b],
                                     entry_slot[a:b] - lo)
-                energies[blocks[lo:hi]] = np.linalg.eigvalsh(stack)[:, 0]
+                if one_per_stack:
+                    vals, vecs = scipy.linalg.eigh(stack[0],
+                                                   subset_by_index=[0, 0])
+                    energies[blocks[lo]] = vals[0]
+                    self._solved[blocks[lo]] = vecs[:, 0], stack[0]
+                else:
+                    energies[blocks[lo:hi]] = np.linalg.eigvalsh(stack)[:, 0]
         return energies
 
     def vector(self, b: int) -> Tuple[np.ndarray,
@@ -615,12 +681,9 @@ def ground_state(system: AtomicSystem, atom_count: int,
     least = np.full(len(labels), math.inf)
     np.minimum.at(least, sector,
                   np.minimum.reduceat(diag[blocks.order], blocks.starts))
-    try:
-        energies = blocks.lowest(
-            todo=floor <= least[sector] + config.degeneracy_tol,
-            start=_start_vector(start, basis, rwa))
-    except sp.linalg.ArpackNoConvergence as exc:  # pragma: no cover
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+    energies = blocks.lowest(
+        todo=floor <= least[sector] + config.degeneracy_tol,
+        start=_start_vector(start, basis, rwa))
 
     by_sector = np.lexsort((first, energies, sector))
     winners = by_sector[np.searchsorted(sector[by_sector],

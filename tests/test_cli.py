@@ -126,6 +126,19 @@ class TestValidate:
         assert main(["validate", "--system", system_file(big, "big.json")]) == 1
         assert "(1,2)" in capsys.readouterr().err
 
+    def test_overflowing_condensate_denominator_exits_1(self, system_file,
+                                                         tmp_path, capsys):
+        # valid by the (4 mu^2)^2 rule, but 16 Omega mu^2 overflows
+        big = cascade_system([0.0, 1e-150], [1e300], [1e75]).to_dict()
+        path = system_file(big, "big.json")
+        assert main(["validate", "--system", path]) == 1
+        assert "16 Omega mu^2" in capsys.readouterr().err
+        out = tmp_path / "never.json"
+        assert main(["exact", "--system", path, "--cutoff", "4",
+                     "--out", str(out)]) == 1
+        assert "(1,2)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--system", str(tmp_path / "nope.json")]) == 1
 

@@ -6,6 +6,7 @@ from polydicke import (
     AtomicSystem,
     InvalidSystemError,
     Transition,
+    cascade_system,
     lmax,
     minimize,
     require_valid,
@@ -86,6 +87,21 @@ def test_overflowing_coupling_is_a_violation(xi, mu):
     system = xi(mu12=mu)
     assert any("(1,2)" in v and "overflows" in v
                for v in validate(system).violations)
+    with pytest.raises(InvalidSystemError, match=r"\(1,2\)"):
+        minimize(system)
+
+
+@pytest.mark.parametrize("omega, Omega, mu, term", [
+    # 16 Omega mu^2 overflowed: the condensate energy came out 0.0 instead of
+    # about -5.6e-151, with an overflow RuntimeWarning
+    ([0.0, 1e-150], [1e300], [1e75], "16 Omega mu^2"),
+    # (A - B)^2 overflowed through B^2 although no condensate exists
+    ([0.0, 1e100], [1e100], [1.0], "((omega_k - omega_j) Omega)^2"),
+])
+def test_overflowing_condensate_terms_are_violations(omega, Omega, mu, term):
+    system = cascade_system(omega, Omega, mu)
+    assert [v for v in validate(system).violations
+            if "(1,2)" in v and term in v]
     with pytest.raises(InvalidSystemError, match=r"\(1,2\)"):
         minimize(system)
 

@@ -631,6 +631,25 @@ class TestComponentSolver:
                                        abs=1e-12)
         assert np.linalg.norm(H @ vec - energy * vec) <= 1e-10
 
+    def test_lone_dense_blocks_are_solved_once(self, xi, monkeypatch):
+        # full-model sectors of 23, 26, 27 and 29 states: each is alone in
+        # its stack and gets one lowest-eigenpair solve, vector included
+        calls = Counter()
+        for module, name in ((scipy.linalg, "eigh"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvalsh")):
+            def recording(*args, _solve=getattr(module, name),
+                          _key=f"{module.__name__}.{name}", **kwargs):
+                calls[_key] += 1
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        cut = {(1, 2): 4, (2, 3): 6}
+        result = ground_state(xi(1.0, 1.0), 1, cut)
+        assert calls == Counter({"scipy.linalg.eigh": 4})
+        want = _component_route(xi(1.0, 1.0), 1, cut, SolverConfig(), False)
+        assert result.sector_energies == pytest.approx(
+            want["sector_energies"], abs=1e-12)
+        assert result.nu == pytest.approx(want["nu"], abs=1e-12)
+
     def test_tie_among_single_states(self):
         H = sp.csr_matrix(np.diag([2.0, -1.0, 0.5, -1.0]))
         energy, vec = _block_solve(H, SolverConfig())
@@ -719,6 +738,135 @@ class TestSolverProperties:
         assert result.sector == cold.sector
         assert result.degenerate_sectors == cold.degenerate_sectors
         assert result.energy == pytest.approx(cold.energy, abs=1e-12)
+
+
+class _Counted:
+    """A sparse matrix that counts its products with vectors."""
+
+    def __init__(self, H):
+        self.H, self.shape, self.products = H, H.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.H @ v
+
+
+def _sparse_block(seed, n, mixed):
+    """Random connected sparse symmetric block: a chain plus about 3n random
+    elements, nonpositive off the diagonal unless mixed."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.arange(n - 1), rng.integers(0, n, 3 * n)])
+    cols = np.concatenate([np.arange(1, n), rng.integers(0, n, 3 * n)])
+    keep = rows != cols
+    rows, cols = rows[keep], cols[keep]
+    vals = rng.uniform(0.1, 1.0, len(rows))
+    if mixed:
+        vals *= rng.choice([-1.0, 1.0], len(rows))
+    else:
+        vals = -vals
+    H = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    return (H + H.T + sp.diags(rng.uniform(-3.0, 3.0, n))).tocsr()
+
+
+class TestLanczos:
+    @staticmethod
+    def _assert_lowest(H, energy, vec):
+        want = np.linalg.eigvalsh(H.toarray())[0]
+        assert abs(energy - want) <= 1e-12 * max(1.0, abs(want))
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(H @ vec - energy * vec) <= 1e-10
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400),
+           mixed=st.booleans(), warm=st.booleans())
+    def test_matches_dense_on_random_blocks(self, seed, n, mixed, warm):
+        H = _sparse_block(seed, n, mixed)
+        rng = np.random.default_rng(seed + 1)
+        v0 = rng.standard_normal(n)
+        if warm:
+            # the lowest vector of the leading half, zero on the rest, as a
+            # coarse solve embeds it
+            m = max(1, n // 2)
+            v0 = np.zeros(n)
+            v0[:m] = np.linalg.eigh(H[:m, :m].toarray())[1][:, 0]
+        self._assert_lowest(H, *quantum.eigsh(H, v0=v0))
+
+    @pytest.mark.parametrize("case", ["exact", "rounded"])
+    def test_start_that_is_an_eigenvector_stops_at_once(self, case):
+        if case == "exact":
+            # H e_0 = -e_0 exactly, so beta vanishes at the first step
+            H = sp.csr_matrix(np.array([[-1.0, 0.0, 0.0], [0.0, 2.0, 1.0],
+                                        [0.0, 1.0, 2.0]]))
+            v0, want = np.array([1.0, 0.0, 0.0]), -1.0
+        else:
+            # chain Laplacian + 3: the constant vector has eigenvalue 3, and
+            # beta is rounding only
+            n = 50
+            lap = sp.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2),
+                                                   1.0], -np.ones(n - 1)],
+                           [-1, 0, 1])
+            H, v0, want = (lap + 3.0 * sp.identity(n)).tocsr(), np.ones(n), 3.0
+        counted = _Counted(H)
+        energy, vec = quantum.eigsh(counted, v0=v0)
+        assert counted.products == 1
+        assert energy == pytest.approx(want, abs=1e-14)
+        assert np.array_equal(vec, v0 / np.linalg.norm(v0))
+
+    def test_two_state_block(self):
+        H = sp.csr_matrix(np.array([[0.3, -0.8], [-0.8, 1.1]]))
+        energy, vec = quantum.eigsh(H, v0=np.array([0.2, -1.0]))
+        assert energy == pytest.approx(0.7 - math.sqrt(0.16 + 0.64),
+                                       abs=1e-14)
+        self._assert_lowest(H, energy, vec)
+
+    def test_degenerate_lowest_eigenvalue(self):
+        # minus the Laplacian of a 5-cycle: the lowest eigenvalue,
+        # 2 cos(4 pi / 5) - 2, is doubly degenerate
+        n = 5
+        ring = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1]).tolil()
+        ring[0, n - 1] = ring[n - 1, 0] = 1.0
+        H = (ring - 2.0 * sp.identity(n)).tocsr()
+        v0 = np.random.default_rng(9).standard_normal(n)
+        energy, vec = quantum.eigsh(H, v0=v0)
+        assert energy == pytest.approx(2.0 * math.cos(0.8 * math.pi) - 2.0,
+                                       abs=1e-13)
+        self._assert_lowest(H, energy, vec)
+
+    def test_repeated_calls_are_bit_identical(self):
+        H = _sparse_block(4, 300, mixed=True)
+        v0 = np.random.default_rng(4).standard_normal(300)
+        first, again = quantum.eigsh(H, v0=v0), quantum.eigsh(H, v0=v0)
+        assert first[0] == again[0]
+        assert np.array_equal(first[1], again[1])
+
+    def test_step_cap_raises_from_ground_state(self, xi, monkeypatch):
+        monkeypatch.setattr(quantum, "_LANCZOS_STEPS", 3)
+        with pytest.raises(RuntimeError, match=r"3 steps on a block of \d+ "
+                                               r"states"):
+            ground_state(xi(1.0, 1.0), 1, 6,
+                         config=SolverConfig(dense_threshold=8))
+
+
+class TestWarmLanczosProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), atoms=st.integers(1, 2),
+           start=st.integers(2, 3))
+    def test_converged_exact_energy_below_variational(self, seed, atoms,
+                                                      start):
+        # full model, every coupling kept and blocks above 8 states on
+        # Lanczos, so each doubled solve starts from the coarse vectors
+        system = random_system(np.random.default_rng(seed), 3)
+        tol = 1e-6
+        try:
+            _, result = converge_cutoff(
+                system, atoms, start, tol=tol,
+                config=SolverConfig(dense_threshold=8), budget=30_000)
+        except BudgetError:
+            assume(False)
+        assert result.converged
+        assert result.energy <= minimize(system).energy + tol
 
 
 def _build_hamiltonian_reference(system, basis, rwa=False):
