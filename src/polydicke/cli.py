@@ -337,14 +337,15 @@ def cmd_observables(args) -> int:
 def _exact_at(system: AtomicSystem, mu: Mapping[Pair, float], args,
               cutoffs: Optional[Dict[Pair, int]]):
     local = system.with_couplings(mu)
-    config = quantum.SolverConfig(seed=args.seed)
-    cut = cutoffs or quantum.suggest_cutoffs(local, args.na)
+    # the rotating-wave ground state holds the full model's photons at half
+    # coupling, so its cutoffs are suggested from there
+    cut = cutoffs or quantum.suggest_cutoffs(
+        symmetries.rwa_rescale(local) if args.rwa else local, args.na)
     if args.tol is not None:
-        return quantum.converge_cutoff(
-            local, args.na, cut, args.tol, rwa=args.rwa,
-            config=config, budget=args.budget)[1]
+        return quantum.converge_cutoff(local, args.na, cut, args.tol,
+                                       rwa=args.rwa, budget=args.budget)[1]
     return quantum.ground_state(local, args.na, cut, rwa=args.rwa,
-                                config=config, budget=args.budget)
+                                budget=args.budget)
 
 
 def _exact_inputs(args) -> Tuple[AtomicSystem, list,
@@ -467,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         output file and the scanned axes."""
         p.add_argument("--system", required=True,
                        help="JSON system file (n, omega, transitions, atom_count)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded in the output metadata and config "
+                            "hash; no result depends on it")
         if res is None:
             return
         p.add_argument("--out", required=True, help="output file path")

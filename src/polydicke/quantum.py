@@ -36,12 +36,16 @@ sector blocks, one thread, the dense lowest-eigenpair solve takes 0.7 ms at
 169 states, 2.3 ms at 300 and 21 ms at 721, and the Lanczos solve from a
 random start 1.7 ms, 2.3-4.3 ms and 3.6 ms.
 
-Each result keeps every sector's lowest vector.  `converge_cutoff` hands
-them to the next, finer full-model solve, which embeds them all in one
-vector over its basis; a Lanczos block starts from that vector's part on
-its states when the part is nonzero, and otherwise from a seeded random
-vector.  On ξ the fine solve then takes a third fewer Lanczos steps than
-the cold coarse one, on blocks four times larger.
+Every solved block writes its lowest vector into one array over the basis,
+and its residual into one value per block; no block matrix outlives its
+solve.  A full-model result keeps one vector over its basis holding every
+sector winner's lowest vector.  `converge_cutoff` hands it to the next,
+finer solve, which embeds it into its own basis; a Lanczos block starts
+from that vector's part on its states when the part is nonzero, and
+otherwise from the all-ones vector, so every solve is deterministic.  On ξ
+the fine solve then takes a third fewer Lanczos steps than the cold coarse
+one, on blocks four times larger.  A rotating-wave result keeps no vector,
+since no solve can start from it, and computes only its winner's.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ DEFAULT_BASIS_BUDGET = 2_000_000
 # two convergence checks
 _LANCZOS_STEPS = 5000
 _CHECK_EVERY = 8
+# suggest_cutoffs: the floor, the standard deviations above the mean and
+# the fixed margin of a starting cutoff
+_CUTOFF_MINIMUM = 6
+_CUTOFF_SPREAD = 6.0
+_CUTOFF_MARGIN = 8
+# photon totals up to this leave delta_nu undefined
+_DELTA_NU_EPS = 1e-12
 
 
 class BudgetError(RuntimeError):
@@ -354,29 +365,34 @@ class SolverConfig:
     """Knobs for the block solves and truncation diagnostics.
 
     Blocks above dense_threshold states go through Lanczos, the rest through
-    dense solves.  seed seeds the random Lanczos start of every block that
-    gets none from a coarser solve.  degeneracy_tol both groups near-equal
-    sector minima and widens the Gershgorin skip.
+    dense solves.  degeneracy_tol both groups near-equal sector minima and
+    widens the Gershgorin skip; a result whose boundary weight exceeds
+    boundary_threshold is not converged.  Both must be finite and >= 0.
     """
 
     dense_threshold: int = 300
-    seed: int = 0
     boundary_threshold: float = 1e-8
     degeneracy_tol: float = 1e-10
+
+    def __post_init__(self):
+        for name in ("boundary_threshold", "degeneracy_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)
 class SectorVectors:
-    """Lowest vector of every sector of one solve, keyed by parity tuple.
+    """Lowest vectors of one full-model solve, as one vector over its basis.
 
-    Each entry holds the global basis indices (ascending) of the sector's
-    winning block and the sector's lowest vector on them.  A finer
-    full-model solve of the same problem embeds these as Lanczos starts.
+    vector holds every sector winner's lowest vector on the winner's states
+    and zero elsewhere.  A finer full-model solve of the same problem embeds
+    it as its Lanczos start.
     """
 
     basis: TruncatedBasis
-    rwa: bool
-    vectors: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]]
+    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -479,8 +495,11 @@ class _Blocks:
     block[i] numbers the block of state i; diag holds the diagonal, and
     (rows, cols, vals) every off-diagonal element once, at one of its two
     mirror positions.  No element joins two blocks.  Within a block, states
-    keep ascending index order.  config supplies the dense threshold and the
-    seed of the random Lanczos starts.
+    keep ascending index order.  config supplies the dense threshold.
+
+    vectors holds, on the states of every block whose vector is known, its
+    lowest eigenvector, and residuals that eigenpair's residual norm (NaN
+    while the vector is unknown).  Both are written as the block is solved.
     """
 
     def __init__(self, block: np.ndarray, n_blocks: int, diag: np.ndarray,
@@ -495,13 +514,17 @@ class _Blocks:
         self.local[self.order] = (np.arange(len(block))
                                   - self.starts[block[self.order]])
         self.entry_block = block[rows]
-        # lowest vector and matrix of every block solved one by one: Lanczos
-        # and lone dense blocks in `lowest`, stacked dense ones in `vector`
-        self._solved: Dict[int, Tuple[np.ndarray,
-                                      Union[np.ndarray, sp.csr_matrix]]] = {}
+        self.vectors = np.zeros(len(block))
+        self.residuals = np.full(n_blocks, math.nan)
 
     def members(self, b: int) -> np.ndarray:
         return self.order[self.starts[b]:self.starts[b] + self.sizes[b]]
+
+    def _keep(self, b: int, H: Union[np.ndarray, sp.csr_matrix],
+              energy: float, vec: np.ndarray):
+        """Record the lowest eigenpair of block b, whose matrix is H."""
+        self.vectors[self.members(b)] = vec
+        self.residuals[b] = np.linalg.norm(H @ vec - energy * vec)
 
     def _dense(self, blocks: np.ndarray, entries: np.ndarray,
                slots: np.ndarray) -> np.ndarray:
@@ -541,10 +564,11 @@ class _Blocks:
         holding at most as many entries as one block at the threshold; where
         every stack of a size holds one block, each gets one lowest-eigenpair
         solve instead, whose vector is kept.  Larger blocks go through
-        Lanczos (`eigsh`) one by one.  Lanczos on block b
-        starts from the restriction of start (one value per state) to the
-        block's states when that is nonzero, and otherwise from a random
-        vector seeded by config.seed + 7919 (b + 1).
+        Lanczos (`eigsh`) one by one.  Lanczos on block b starts from the
+        restriction of start (one value per state) to the block's states
+        when that is nonzero, and otherwise from the all-ones vector, which
+        overlaps the positive lowest vector of every block whose
+        off-diagonal elements are <= 0.
         """
         config = self.config
         n = len(self.sizes)
@@ -552,15 +576,16 @@ class _Blocks:
         energies = np.full(n, math.inf)
         single = todo & (self.sizes == 1)
         energies[single] = self.diag[self.order[self.starts[single]]]
+        self.vectors[self.order[self.starts[single]]] = 1.0
+        self.residuals[single] = 0.0
         lanczos = todo & (self.sizes > max(1, config.dense_threshold))
         for b in np.flatnonzero(lanczos):
             v0 = None if start is None else start[self.members(b)]
             if v0 is None or not v0.any():
-                rng = np.random.default_rng(config.seed + 7919 * (b + 1))
-                v0 = rng.standard_normal(self.sizes[b])
+                v0 = np.ones(self.sizes[b])
             H = self.matrix(b)
             energies[b], vec = eigsh(H, v0=v0)
-            self._solved[b] = vec, H
+            self._keep(b, H, energies[b], vec)
         todo = todo & ~single & ~lanczos
         # built after the Lanczos solves, so that their peak memory omits it
         entry_size = np.where(todo[self.entry_block],
@@ -586,57 +611,46 @@ class _Blocks:
                     vals, vecs = scipy.linalg.eigh(stack[0],
                                                    subset_by_index=[0, 0])
                     energies[blocks[lo]] = vals[0]
-                    self._solved[blocks[lo]] = vecs[:, 0], stack[0]
+                    self._keep(blocks[lo], stack[0], vals[0], vecs[:, 0])
                 else:
                     energies[blocks[lo:hi]] = np.linalg.eigvalsh(stack)[:, 0]
         return energies
 
-    def vector(self, b: int) -> Tuple[np.ndarray,
-                                      Union[np.ndarray, sp.csr_matrix]]:
-        """Lowest eigenvector of a block passed through `lowest`, and the
-        block's matrix."""
-        if b not in self._solved:
+    def vector(self, b: int) -> np.ndarray:
+        """Lowest eigenvector of block b on its states, solving the block
+        densely if no solve has kept its vector yet."""
+        if math.isnan(self.residuals[b]):
             H = self.matrix(b)
-            self._solved[b] = np.linalg.eigh(H)[1][:, 0], H
-        return self._solved[b]
+            vals, vecs = np.linalg.eigh(H)
+            self._keep(b, H, vals[0], vecs[:, 0])
+        return self.vectors[self.members(b)]
 
 
-def _embed_indices(coarse: TruncatedBasis, fine: TruncatedBasis,
-                   indices: np.ndarray) -> np.ndarray:
-    """Index in `fine` of each `coarse` basis index, same occupations.
+def _start_vector(coarse: Optional[SectorVectors],
+                  basis: TruncatedBasis) -> Optional[np.ndarray]:
+    """Lanczos start over the whole basis from a coarser full-model solve.
 
-    Both bases must share pairs and atomic compositions, and no fine cutoff
-    may lie below the coarse one.
+    A start applies only to the same problem (pairs, atom count) on a basis
+    no coarser than its own; otherwise this returns None.  Both bases are
+    C-ordered grids of (photons per mode..., composition), so the coarse
+    vector fills the leading corner of the fine grid, at the states with the
+    same occupations.  Every validated mu is nonnegative, so every
+    off-diagonal element is <= 0, and the lowest vector of a connected block
+    is strictly positive (Perron-Frobenius).  A coarse block stays connected
+    at finer cutoffs, so each fine block holds either one whole one-signed
+    coarse vector or none of it.
     """
-    nu = coarse.nu_columns()[indices]
-    photons = np.ravel_multi_index(tuple(nu.T), fine.mode_dims)
-    return photons * fine.atomic_dim + indices % coarse.atomic_dim
-
-
-def _start_vector(start: Optional[QuantumGroundResult], basis: TruncatedBasis,
-                  rwa: bool) -> Optional[np.ndarray]:
-    """Lanczos start over the whole basis from a coarser solve, or None.
-
-    A start applies only to the same full-model problem on a basis no finer
-    than this one.  Every coarse sector vector is embedded at the indices
-    holding the same occupations.  Every validated mu is nonnegative, so
-    every off-diagonal element is <= 0, and the lowest vector of a connected
-    block is strictly positive (Perron-Frobenius).  A coarse block stays
-    connected at finer cutoffs, so each fine block holds either one whole
-    one-signed coarse vector or none of it.
-    """
-    coarse = None if start is None else start.sector_vectors
-    if coarse is None or rwa or coarse.rwa:
+    if coarse is None:
         return None
     cb = coarse.basis
     if (cb.pairs != basis.pairs or cb.atom_count != basis.atom_count
             or cb.n_levels != basis.n_levels
             or any(f < c for f, c in zip(basis.cutoffs, cb.cutoffs))):
         return None
-    v0 = np.zeros(basis.size)
-    for indices, vec in coarse.vectors.values():
-        v0[_embed_indices(cb, basis, indices)] = vec
-    return v0
+    v0 = np.zeros(basis.mode_dims + (basis.atomic_dim,))
+    v0[tuple(slice(d) for d in cb.mode_dims)] = coarse.vector.reshape(
+        cb.mode_dims + (cb.atomic_dim,))
+    return v0.ravel()
 
 
 def ground_state(system: AtomicSystem, atom_count: int,
@@ -655,13 +669,14 @@ def ground_state(system: AtomicSystem, atom_count: int,
     and are skipped; the rest go through `_Blocks`.  Each sector's lowest
     block wins it, ties going to the block holding the lowest basis index.
 
-    Deterministic for a fixed config seed and a fixed start.  Sectors within
-    the degeneracy tolerance of the minimum are all reported; observables
-    come from the lexicographically first of them.  The result keeps every
+    Deterministic for a fixed start.  Sectors within the degeneracy
+    tolerance of the minimum are all reported; observables come from the
+    lexicographically first of them.  A full-model result keeps every
     sector's lowest vector; passed back as `start` to a full-model solve of
     the same problem (pairs, atom count) with no cutoff lower, they start
-    its Lanczos solves, and any other start is ignored.  Raises a
-    RuntimeError if an iterative solve fails to converge.
+    its Lanczos solves, and any other start is ignored.  A rotating-wave
+    result keeps none.  Raises a RuntimeError if an iterative solve fails
+    to converge.
     """
     require_valid(system)
     config = config or SolverConfig()
@@ -672,7 +687,7 @@ def ground_state(system: AtomicSystem, atom_count: int,
         sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), directed=False)
     blocks = _Blocks(block, n_blocks, diag, rows, cols, vals, config)
     first = blocks.order[blocks.starts]  # lowest basis index of every block
-    sector, parity, labels = _parity_sectors(system, _charges(basis)[first])
+    sector, _, labels = _parity_sectors(system, _charges(basis)[first])
 
     # Gershgorin; no temporary of one value per entry outlives this line
     floor = np.minimum.reduceat(
@@ -683,7 +698,8 @@ def ground_state(system: AtomicSystem, atom_count: int,
                   np.minimum.reduceat(diag[blocks.order], blocks.starts))
     energies = blocks.lowest(
         todo=floor <= least[sector] + config.degeneracy_tol,
-        start=_start_vector(start, basis, rwa))
+        start=None if rwa or start is None
+        else _start_vector(start.sector_vectors, basis))
 
     by_sector = np.lexsort((first, energies, sector))
     winners = by_sector[np.searchsorted(sector[by_sector],
@@ -694,14 +710,18 @@ def ground_state(system: AtomicSystem, atom_count: int,
     degenerate = tuple(sorted(
         label for label, e in sector_energies.items()
         if e - e_min <= config.degeneracy_tol))
-    solved = [blocks.vector(b) for b in winners]
-    win = labels.index(degenerate[0])
+    win = winners[labels.index(degenerate[0])]
     energy = sector_energies[degenerate[0]]
-    indices = blocks.members(winners[win])
-    vec, matrix = solved[win]
+    indices = blocks.members(win)
+    vec = blocks.vector(win)
 
-    residual = float(np.linalg.norm(matrix @ vec - energy * vec)
-                     / np.linalg.norm(vec))
+    sector_vectors = None
+    if not rwa:
+        vector = np.zeros(n)
+        for b in winners:
+            vector[blocks.members(b)] = blocks.vector(b)
+        sector_vectors = SectorVectors(basis=basis, vector=vector)
+
     weights = vec * vec
     weights = weights / weights.sum()
     nu_cols = basis.nu_columns()[indices]
@@ -731,20 +751,16 @@ def ground_state(system: AtomicSystem, atom_count: int,
         delta_nu=dn,
         cutoffs=dict(zip(basis.pairs, basis.cutoffs)),
         boundary_weight=boundary_weight,
-        residual=residual,
+        residual=float(blocks.residuals[win]),
         converged=boundary_weight <= config.boundary_threshold,
-        sector_vectors=SectorVectors(
-            basis=basis, rwa=rwa,
-            vectors={tuple(int(v) for v in row): (blocks.members(b), vec)
-                     for row, b, (vec, _) in zip(parity, winners, solved)}),
+        sector_vectors=sector_vectors,
     )
 
 
-def delta_nu_value(nu_a: float, nu_b: float,
-                   eps: float = 1e-12) -> Optional[float]:
+def delta_nu_value(nu_a: float, nu_b: float) -> Optional[float]:
     """(nu_b - nu_a)/(nu_b + nu_a), or None when the sum vanishes."""
     total = nu_a + nu_b
-    if total <= eps:
+    if total <= _DELTA_NU_EPS:
         return None
     return (nu_b - nu_a) / total
 
@@ -770,10 +786,10 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
 
     Stops when two successive solves agree within tol and the finer one does
     not lean on the truncation boundary; returns that finer result.  Each
-    finer solve starts its Lanczos solves from the previous solve's sector
-    vectors (see `ground_state`).  Raises BudgetError when the basis budget
-    or the doubling budget runs out; the latter's message lists every
-    step's cutoffs, energy per particle and boundary weight.
+    finer full-model solve starts its Lanczos solves from the previous
+    solve's sector vectors (see `ground_state`).  Raises BudgetError when
+    the basis budget or the doubling budget runs out; the latter's message
+    lists every step's cutoffs, energy per particle and boundary weight.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -799,14 +815,13 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
         + "; ".join(history))
 
 
-def suggest_cutoffs(system: AtomicSystem, atom_count: int,
-                    minimum: int = 6, spread: float = 6.0,
-                    margin: int = 8) -> Dict[Pair, int]:
+def suggest_cutoffs(system: AtomicSystem,
+                    atom_count: int) -> Dict[Pair, int]:
     """Starting cutoffs from the variational photon numbers.
 
     The active mode of each candidate is Poissonian with mean N_a r_c^2;
-    the cutoff covers the mean plus `spread` standard deviations plus a
-    fixed margin, floored at `minimum`.
+    the cutoff covers the mean plus six standard deviations plus a fixed
+    margin of eight, floored at six.
     """
     require_valid(system)
     mean = {p: 0.0 for p in system.pairs}
@@ -814,7 +829,7 @@ def suggest_cutoffs(system: AtomicSystem, atom_count: int,
         if cand.exists and cand.pair is not None:
             mean[cand.pair] = atom_count * cand.photon_amp ** 2
     return {
-        p: max(minimum,
-               int(math.ceil(m + spread * math.sqrt(m + 1.0) + margin)))
+        p: max(_CUTOFF_MINIMUM, int(math.ceil(
+            m + _CUTOFF_SPREAD * math.sqrt(m + 1.0) + _CUTOFF_MARGIN)))
         for p, m in mean.items()
     }

@@ -316,8 +316,7 @@ class NumericMinimum:
 
 
 def minimize_numeric(system: AtomicSystem, starts: int = 2,
-                     tolerance: float = 1e-9, rho_cap: float = 1e4,
-                     seed: int = 0) -> NumericMinimum:
+                     rho_cap: float = 1e4, seed: int = 0) -> NumericMinimum:
     """Multi-start local minimization of the reduced surface over [0, cap]^d.
 
     Independent numerical check of the closed forms.  Radii are optimized
@@ -364,8 +363,7 @@ def minimize_numeric(system: AtomicSystem, starts: int = 2,
         res = _scipy_minimize(
             objective, s, jac=True, method="L-BFGS-B",
             bounds=[(0.0, u_cap)] * nv,
-            options={"maxiter": 500, "ftol": 1e-16,
-                     "gtol": min(1e-12, tolerance)},
+            options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
         )
         converged += bool(res.success)
         if best is None or res.fun < best.fun:

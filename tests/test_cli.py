@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polydicke import (cascade_system, condensate, minimize, rwa_rescale,
-                       transition_order)
+                       suggest_cutoffs, transition_order)
 from polydicke import cli
 from polydicke.cli import main
 
@@ -451,6 +451,40 @@ class TestExact:
         # every emitted number is finite or the explicit undefined token
         assert "NaN" not in out.read_text()
         assert "Infinity" not in out.read_text()
+
+    def test_rwa_suggests_cutoffs_at_half_coupling(self, system_file,
+                                                   tmp_path):
+        # the rotating-wave ground state holds the full model's photons at
+        # half coupling, so its start cutoffs come from there
+        data = dict(CASCADE, atom_count=4, transitions=[
+            {"j": 1, "k": 2, "Omega": 1.0, "mu": 1.8},
+            {"j": 2, "k": 3, "Omega": 0.5, "mu": 0.9},
+        ])
+        out = tmp_path / "rwa.json"
+        assert main(["exact", "--system", system_file(data), "--na", "4",
+                     "--rwa", "--out", str(out)]) == 0
+        point, = json.loads(out.read_text())["points"]
+        assert point["cutoffs"] == {"1_2": 23, "2_3": 24}
+        system = cascade_system([0.0, 1.0, 1.3], [1.0, 0.5], [1.8, 0.9],
+                                atom_count=4)
+        assert suggest_cutoffs(rwa_rescale(system), 4) == {(1, 2): 23,
+                                                           (2, 3): 24}
+        assert suggest_cutoffs(system, 4) == {(1, 2): 44, (2, 3): 44}
+
+    def test_points_do_not_depend_on_the_seed(self, system_file, tmp_path):
+        # converged cutoffs of 32-38 and 52 put whole sectors of over 300
+        # states on Lanczos, whose cold starts are all-ones, not seeded
+        args = ["exact", "--system", system_file(), "--na", "1",
+                "--axes", "1-2", "--range", "0.8:1.2", "--res", "2",
+                "--tol", "1e-6"]
+        points = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.json"
+            assert main(args + ["--seed", seed, "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["meta"]["seed"] == int(seed)
+            points.append(payload["points"])
+        assert points[0] == points[1]
 
 
 class TestCompare:

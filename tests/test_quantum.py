@@ -28,7 +28,7 @@ from polydicke import (
     suggest_cutoffs,
 )
 from polydicke import quantum
-from polydicke.quantum import SymmetrySector, _embed_indices
+from polydicke.quantum import SectorVectors, SymmetrySector, _start_vector
 from polydicke.symmetries import WeightError, excitation_weights
 
 # dense-diagonalization oracle values for the cascade benchmark
@@ -226,14 +226,45 @@ class TestGroundState:
         assert result.boundary_weight > 1e-8
 
     def test_determinism(self, xi):
-        a = ground_state(xi(1.0, 1.0), 1, 18, config=SolverConfig(seed=3))
-        b = ground_state(xi(1.0, 1.0), 1, 18, config=SolverConfig(seed=3))
+        a = ground_state(xi(1.0, 1.0), 1, 18,
+                         config=SolverConfig(dense_threshold=8))
+        b = ground_state(xi(1.0, 1.0), 1, 18,
+                         config=SolverConfig(dense_threshold=8))
         assert a.energy == b.energy
         assert a.nu == b.nu
 
     def test_degenerate_report_contains_winner(self, xi):
         result = ground_state(xi(1.0, 1.0), 1, 16)
         assert result.sector in result.degenerate_sectors
+
+
+class TestSolverConfig:
+    # a negative or NaN degeneracy_tol left no sector degenerate with the
+    # minimum (an IndexError in ground_state); a negative or NaN
+    # boundary_threshold marked every result unconverged, so converge_cutoff
+    # doubled until the basis budget ran out
+    @pytest.mark.parametrize("name", ["degeneracy_tol", "boundary_threshold"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_negative_and_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    def test_zero_tolerances_are_accepted(self, xi):
+        config = SolverConfig(degeneracy_tol=0.0, boundary_threshold=0.0)
+        result = ground_state(xi(1.3, 1.7, atom_count=2), 2, 8, rwa=True,
+                              config=config)
+        assert result.sector in result.degenerate_sectors
+
+    @pytest.mark.parametrize("threshold", [0, -3])
+    def test_nonpositive_dense_threshold_solves(self, xi, threshold):
+        # every block above one state goes to Lanczos
+        system = xi(1.3, 1.7, atom_count=2)
+        for rwa in (False, True):
+            got = ground_state(system, 2, 8, rwa=rwa,
+                               config=SolverConfig(dense_threshold=threshold))
+            want = ground_state(system, 2, 8, rwa=rwa)
+            assert got.sector == want.sector
+            assert got.energy == pytest.approx(want.energy, abs=1e-12)
 
 
 class TestDeltaNu:
@@ -338,6 +369,15 @@ def _sector_of(sectors, indices):
     return sector
 
 
+def _embedded(coarse, basis):
+    """Index in basis of every state the coarse result's vector holds,
+    matched ket by ket, and the vector's value there."""
+    cb, vector = coarse.sector_vectors.basis, coarse.sector_vectors.vector
+    held = np.flatnonzero(vector)
+    fine = np.array([basis.index(cb.ket(int(i))) for i in held])
+    return fine, vector[held]
+
+
 class TestWarmStart:
     LANCZOS = SolverConfig(dense_threshold=8)
 
@@ -351,10 +391,13 @@ class TestWarmStart:
                         for p, c in coarse_cut.items()}
             coarse = build_basis(system, atoms, coarse_cut)
             fine = build_basis(system, atoms, fine_cut)
-            mapped = _embed_indices(coarse, fine, np.arange(coarse.size))
-            for i, j in enumerate(mapped):
-                assert fine.ket(int(j)) == coarse.ket(i)
-                assert fine.index(coarse.ket(i)) == j
+            vector = rng.standard_normal(coarse.size)
+            v0 = _start_vector(SectorVectors(basis=coarse, vector=vector),
+                               fine)
+            want = np.zeros(fine.size)
+            for i in range(coarse.size):
+                want[fine.index(coarse.ket(i))] = vector[i]
+            assert np.array_equal(v0, want)
 
     def test_fine_solve_starts_from_coarse_vectors(self, xi, lanczos_starts):
         system = xi(1.0, 1.0)
@@ -365,15 +408,16 @@ class TestWarmStart:
         cold = ground_state(system, 1, 6, config=self.LANCZOS)
         basis = build_basis(system, 1, 6)
         sectors = split_sectors(system, basis)
+        embedded, values = _embedded(coarse, basis)
         assert len(calls) == len(sectors)
         matched = []
         for _, members, v0 in calls:
             sector = _sector_of(sectors, members)
             matched.append(sector.label)
-            indices, vec = coarse.sector_vectors.vectors[sector.parity]
-            fine = _embed_indices(coarse.sector_vectors.basis, basis, indices)
+            mine = np.isin(embedded, sector.indices)
+            fine, vec = embedded[mine], values[mine]
             assert np.array_equal(members[v0 != 0.0], np.sort(fine))
-            assert len(indices) < len(v0)
+            assert len(fine) < len(v0)
             assert np.array_equal(v0[np.searchsorted(members, fine)], vec)
             v0 = v0 * np.sign(v0[np.argmax(abs(v0))])
             assert v0.min() > -1e-12
@@ -397,7 +441,7 @@ class TestWarmStart:
         assert eigsh_starts and all(np.all(v0 != 0.0) for v0 in eigsh_starts)
         assert warm == ground_state(system, 2, 6, config=self.LANCZOS)
 
-    def test_sector_absent_from_start_starts_at_random(self, xi,
+    def test_sector_absent_from_start_starts_from_ones(self, xi,
                                                        lanczos_starts):
         system = xi(1.0, 1.0)
         # no photons: the single atom fixes the parities, three sectors of four
@@ -406,14 +450,18 @@ class TestWarmStart:
         warm = ground_state(system, 1, 6, config=self.LANCZOS, start=coarse)
         calls = list(lanczos_starts)
         cold = ground_state(system, 1, 6, config=self.LANCZOS)
-        sectors = split_sectors(system, build_basis(system, 1, 6))
+        basis = build_basis(system, 1, 6)
+        sectors = split_sectors(system, basis)
+        embedded, _ = _embedded(coarse, basis)
         absent = [s.label for s in sectors
-                  if s.parity not in coarse.sector_vectors.vectors]
-        assert len(absent) == 1 and len(coarse.sector_vectors.vectors) == 3
+                  if not np.isin(embedded, s.indices).any()]
+        assert len(absent) == 1 and len(embedded) == 3
         assert len(calls) == len(sectors)
         for _, members, v0 in calls:
             sector = _sector_of(sectors, members)
             assert np.all(v0 != 0.0) == (sector.label in absent)
+            if sector.label in absent:
+                assert np.array_equal(v0, np.ones(len(members)))
         assert warm.sector_energies[absent[0]] == cold.sector_energies[absent[0]]
         assert warm.sector_energies == pytest.approx(cold.sector_energies,
                                                      abs=1e-12)
@@ -429,23 +477,21 @@ class TestWarmStart:
         cold = ground_state(system, 1, 12, config=self.LANCZOS)
         basis = build_basis(system, 1, 12)
         sectors = split_sectors(system, basis)
-        embedded = {}
-        for indices, vec in coarse.sector_vectors.vectors.values():
-            fine = _embed_indices(coarse.sector_vectors.basis, basis, indices)
-            embedded[_sector_of(sectors, fine).label] = (fine, vec)
+        embedded, values = _embedded(coarse, basis)
         per_sector, warm_blocks = Counter(), Counter()
-        for b, members, v0 in calls:
-            label = _sector_of(sectors, members).label
+        for _, members, v0 in calls:
+            sector = _sector_of(sectors, members)
+            label = sector.label
             per_sector[label] += 1
-            fine, vec = embedded[label]
+            mine = np.isin(embedded, sector.indices)
+            fine, vec = embedded[mine], values[mine]
             if np.isin(fine, members).any():
                 # the whole coarse vector, zero on the states new at cutoff 12
                 warm_blocks[label] += 1
                 assert np.array_equal(members[v0 != 0.0], np.sort(fine))
                 assert np.array_equal(v0[np.searchsorted(members, fine)], vec)
             else:
-                rng = np.random.default_rng(self.LANCZOS.seed + 7919 * (b + 1))
-                assert np.array_equal(v0, rng.standard_normal(len(members)))
+                assert np.array_equal(v0, np.ones(len(members)))
         assert min(per_sector.values()) >= 3
         assert warm_blocks == Counter(dict.fromkeys(per_sector, 1))
         assert warm.energy == pytest.approx(cold.energy, abs=1e-12)
@@ -457,6 +503,8 @@ class TestWarmStart:
         assert result.sector_vectors is not None
         assert "sector_vectors" not in repr(result)
         assert "sector_vectors" not in result.to_json_dict()
+        # no solve starts from a rotating-wave result, so it keeps no vector
+        assert ground_state(xi(), 1, 4, rwa=True).sector_vectors is None
 
 
 class TestAtomNumberTrend:
@@ -585,7 +633,7 @@ def _block_solve(H, config):
     energies = blocks.lowest()
     comp = int(np.argmin(energies))
     vec = np.zeros(H.shape[0])
-    vec[blocks.members(comp)] = blocks.vector(comp)[0]
+    vec[blocks.members(comp)] = blocks.vector(comp)
     return float(energies[comp]), vec
 
 
@@ -791,6 +839,9 @@ class TestLanczos:
             v0 = np.zeros(n)
             v0[:m] = np.linalg.eigh(H[:m, :m].toarray())[1][:, 0]
         self._assert_lowest(H, *quantum.eigsh(H, v0=v0))
+        if not mixed:
+            # the cold start of a block; its positive lowest vector overlaps it
+            self._assert_lowest(H, *quantum.eigsh(H, v0=np.ones(n)))
 
     @pytest.mark.parametrize("case", ["exact", "rounded"])
     def test_start_that_is_an_eigenvector_stops_at_once(self, case):
@@ -1091,17 +1142,20 @@ class TestChargeBlocks:
     def test_zero_couplings_tie_to_lowest_index(self, xi, block_solves):
         # photon 1-2 with the atom in level 1 and no photon with the atom in
         # level 2 share a charge vector and an energy of exactly 1.0
+        # (the full model: at zero couplings its Hamiltonian is the
+        # rotating-wave one, and its result keeps the sector vectors)
         system = xi(0.0, 0.0)
-        result = ground_state(system, 1, 2, rwa=True)
+        result = ground_state(system, 1, 2)
         blocks, = block_solves
         assert set(blocks.sizes) == {1}
         basis = build_basis(system, 1, 2)
-        indices, vec = result.sector_vectors.vectors[(0, 1, 0)]
+        sector, = [s for s in split_sectors(system, basis)
+                   if s.parity == (0, 1, 0)]
+        vec = result.sector_vectors.vector[sector.indices]
+        indices = sector.indices[vec != 0.0]
         assert basis.ket(int(indices[0])).n == (0, 1, 0)
-        assert indices.tolist() == [1] and vec.tolist() == [1.0]
-        label, = [s.label for s in split_sectors(system, basis)
-                  if s.parity == (0, 1, 0)]
-        assert result.sector_energies[label] == 1.0
+        assert indices.tolist() == [1] and vec[vec != 0.0].tolist() == [1.0]
+        assert result.sector_energies[sector.label] == 1.0
 
     def test_zero_coupled_photons_split_blocks(self, xi, block_solves):
         system = xi(0.0, 0.8, atom_count=2)
