@@ -135,14 +135,19 @@ def _resolve_cutoffs(args, system: AtomicSystem) -> Optional[Dict[Pair, int]]:
     out: Dict[Pair, int] = {}
     shared: Optional[int] = None
     for spec in args.cutoff:
-        if "=" in spec:
-            pair_text, value = spec.split("=", 1)
+        pair_text, per_pair, value = spec.rpartition("=")
+        try:
+            cutoff = int(value)
+        except ValueError:
+            raise CliError(f"--cutoff {spec!r}: the cutoff must be an "
+                           f"integer") from None
+        if per_pair:
             pair = _parse_pair(pair_text)
             if pair not in system.pairs:
                 raise CliError(f"unknown transition in --cutoff {spec!r}")
-            out[pair] = int(value)
+            out[pair] = cutoff
         else:
-            shared = int(spec)
+            shared = cutoff
     if shared is not None:
         for p in system.pairs:
             out.setdefault(p, shared)

@@ -19,9 +19,10 @@ The full and rotating-wave models share one solve.  One connected-component
 search over the kernel's coupling elements splits the basis into blocks no
 element joins.  They never cross a sector; zero couplings split sectors
 further, and under rwa the blocks refine the conserved-charge (K_j) blocks.
-Every block whose Gershgorin lower bound lies more than the degeneracy
-tolerance above its sector's least diagonal element is skipped.  The rest
-are solved by size:
+A block's least diagonal element and its all-ones Rayleigh quotient both
+bound its lowest eigenvalue from above; every block whose Gershgorin lower
+bound lies more than the degeneracy tolerance above the least of these over
+its sector is skipped.  The rest are solved by size:
 
 * single states are read off the diagonal;
 * blocks up to the dense threshold go through stacked NumPy eigenvalue
@@ -35,6 +36,13 @@ The default threshold of 300 states sits at the measured crossover: on ξ
 sector blocks, one thread, the dense lowest-eigenpair solve takes 0.7 ms at
 169 states, 2.3 ms at 300 and 21 ms at 721, and the Lanczos solve from a
 random start 1.7 ms, 2.3-4.3 ms and 3.6 ms.
+
+Apart from the element values, all of this depends on the couplings only
+through which of them are zero.  So the basis, the diagonal, the coupling
+pattern with its magnitudes sqrt(nu + 1) * hop, the block layout and the
+sector labels are built once per truncation (`_Truncation`) and kept,
+read-only, for the last two truncations solved; a new coupling only scales
+the magnitudes into values, bounds the blocks and solves them.
 
 Every solved block writes its lowest vector into one array over the basis,
 and its residual into one value per block; no block matrix outlives its
@@ -51,6 +59,7 @@ since no solve can start from it, and computes only its winner's.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -182,6 +191,18 @@ class TruncatedBasis:
         return np.tile(occ, (reps, 1))
 
 
+def _cutoff(pair: Pair, value) -> int:
+    """value as a photon cutoff of transition pair: a Python or NumPy
+    integer >= 0, bools excluded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"cutoff of transition {pair[0]}-{pair[1]} must be "
+                         f"an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"cutoff of transition {pair[0]}-{pair[1]} must be "
+                         f"nonnegative, got {value}")
+    return int(value)
+
+
 def build_basis(system: AtomicSystem, atom_count: int,
                 cutoffs: Union[int, Mapping[Pair, int]],
                 budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedBasis:
@@ -190,15 +211,13 @@ def build_basis(system: AtomicSystem, atom_count: int,
     if atom_count < 1:
         raise ValueError(f"atom_count must be at least 1, got {atom_count}")
     pairs = system.pairs
-    if isinstance(cutoffs, int):
-        cut = tuple([cutoffs] * len(pairs))
-    else:
+    if isinstance(cutoffs, Mapping):
         missing = [p for p in pairs if p not in cutoffs]
         if missing:
             raise ValueError(f"cutoffs missing for transitions {missing}")
-        cut = tuple(int(cutoffs[p]) for p in pairs)
-    if any(c < 0 for c in cut):
-        raise ValueError(f"cutoffs must be nonnegative, got {cut}")
+        cut = tuple(_cutoff(p, cutoffs[p]) for p in pairs)
+    else:
+        cut = tuple(_cutoff(p, cutoffs) for p in pairs)
     atomic = _atomic_compositions(atom_count, system.n)
     size = int(np.prod([c + 1 for c in cut])) * len(atomic)
     if size > budget:
@@ -213,15 +232,19 @@ def build_basis(system: AtomicSystem, atom_count: int,
 
 def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
                          rwa: bool) -> Tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, np.ndarray]:
-    """Diagonal and coupling entries of the truncated Hamiltonian.
+                                             np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """Diagonal and coupling pattern of the truncated Hamiltonian.
 
-    Returns (diag, rows, cols, vals): diag[i] = H_ii for every basis index,
-    and H[rows, cols] = vals for each coupling element whose target (row)
-    holds one photon more than its source (column).  The rest of H is the
-    transpose of these.  A photon added to mode m moves the index by that
-    mode's stride times atomic_dim; the atom's hop moves it by the offset
-    between two rows of the composition table.
+    Returns (diag, rows, cols, magnitude, bounds): diag[i] = H_ii for every
+    basis index, and each coupling element joins a target (row) holding one
+    photon more than its source (column), with the bosonic and atomic
+    factor sqrt(nu + 1) * hop in magnitude.  The elements of transition m
+    are entries bounds[m]:bounds[m + 1]; `_coupling_values` scales them
+    into H[rows, cols].  The rest of H is the transpose of these.  A photon
+    added to mode m moves the index by that mode's stride times atomic_dim;
+    the atom's hop moves it by the offset between two rows of the
+    composition table.  Transitions with mu = 0 contribute no element.
     """
     A = basis.atomic_dim
     occ = np.array(basis.atomic_kets, dtype=np.int64)
@@ -237,10 +260,12 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
     strides = np.cumprod((1,) + basis.mode_dims[:0:-1])[::-1] * A
     # 32-bit indices, as the sparse matrices use, halve the index memory
     index = np.int32 if basis.size <= np.iinfo(np.int32).max else np.int64
-    scale = 1.0 / math.sqrt(basis.atom_count)
-    rows, cols, vals = [np.zeros(0, index)], [np.zeros(0, index)], [diag[:0]]
+    rows, cols = [np.zeros(0, index)], [np.zeros(0, index)]
+    magnitude = [diag[:0]]
+    bounds = np.zeros(len(basis.pairs) + 1, dtype=np.int64)
     for m, p in enumerate(basis.pairs):
         t = system.transition(p)
+        bounds[m + 1] = bounds[m]
         if t.mu == 0.0:
             continue
         src = np.flatnonzero(photons[:, m] < basis.cutoffs[m]).astype(index)
@@ -262,8 +287,23 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
             cols.append(source)
             rows.append(source + np.tile(
                 (int(strides[m]) + target - a).astype(index), len(src)))
-            vals.append(-(t.mu * scale) * (ladder[:, np.newaxis] * hop).ravel())
-    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+            magnitude.append((ladder[:, np.newaxis] * hop).ravel())
+            bounds[m + 1] += len(source)
+    return (diag, np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(magnitude), bounds)
+
+
+def _coupling_values(system: AtomicSystem, basis: TruncatedBasis,
+                     magnitude: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """H[rows, cols] of `_hamiltonian_entries`' coupling elements: each
+    transition's magnitudes times -mu / sqrt(N_a)."""
+    scale = 1.0 / math.sqrt(basis.atom_count)
+    vals = np.empty_like(magnitude)
+    for m, p in enumerate(basis.pairs):
+        t = system.transition(p)
+        lo, hi = bounds[m], bounds[m + 1]
+        np.multiply(-(t.mu * scale), magnitude[lo:hi], out=vals[lo:hi])
+    return vals
 
 
 def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
@@ -277,7 +317,9 @@ def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
     Amplitudes that would leave the truncation are dropped.
     """
     require_valid(system)
-    diag, rows, cols, vals = _hamiltonian_entries(system, basis, rwa)
+    diag, rows, cols, magnitude, bounds = _hamiltonian_entries(system, basis,
+                                                               rwa)
+    vals = _coupling_values(system, basis, magnitude, bounds)
     states = np.arange(basis.size, dtype=rows.dtype)
     return sp.csr_matrix(
         (np.concatenate([diag, vals, vals]),
@@ -489,24 +531,23 @@ def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(theta[0]), x / np.linalg.norm(x)
 
 
-class _Blocks:
-    """A real symmetric matrix that is block diagonal, solved block by block.
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
-    block[i] numbers the block of state i; diag holds the diagonal, and
-    (rows, cols, vals) every off-diagonal element once, at one of its two
-    mirror positions.  No element joins two blocks.  Within a block, states
-    keep ascending index order.  config supplies the dense threshold.
 
-    vectors holds, on the states of every block whose vector is known, its
-    lowest eigenvector, and residuals that eigenpair's residual norm (NaN
-    while the vector is unknown).  Both are written as the block is solved.
+class _Layout:
+    """Where the blocks of a block-diagonal matrix sit; read-only.
+
+    block[i] numbers the block of state i, and rows holds the row of every
+    off-diagonal element at one of its two mirror positions.  sizes counts
+    each block's states, order lists the states block by block (ascending
+    index within a block), starts gives each block's offset in order, local
+    each state's position within its block, and entry_block each element's
+    block.
     """
 
-    def __init__(self, block: np.ndarray, n_blocks: int, diag: np.ndarray,
-                 rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 config: SolverConfig):
-        self.diag, self.rows, self.cols, self.vals = diag, rows, cols, vals
-        self.config = config
+    def __init__(self, block: np.ndarray, n_blocks: int, rows: np.ndarray):
         self.sizes = np.bincount(block, minlength=n_blocks)
         self.order = np.argsort(block, kind="stable")
         self.starts = np.cumsum(self.sizes) - self.sizes
@@ -514,8 +555,32 @@ class _Blocks:
         self.local[self.order] = (np.arange(len(block))
                                   - self.starts[block[self.order]])
         self.entry_block = block[rows]
-        self.vectors = np.zeros(len(block))
-        self.residuals = np.full(n_blocks, math.nan)
+        _read_only(self.sizes, self.order, self.starts, self.local,
+                   self.entry_block)
+
+
+class _Blocks:
+    """A real symmetric matrix that is block diagonal, solved block by block.
+
+    layout places the blocks; diag holds the diagonal, and (rows, cols,
+    vals) every off-diagonal element once, at one of its two mirror
+    positions.  No element joins two blocks.  Within a block, states keep
+    ascending index order.  config supplies the dense threshold.
+
+    vectors holds, on the states of every block whose vector is known, its
+    lowest eigenvector, and residuals that eigenpair's residual norm (NaN
+    while the vector is unknown).  Both are written as the block is solved.
+    """
+
+    def __init__(self, layout: _Layout, diag: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, vals: np.ndarray, config: SolverConfig):
+        self.diag, self.rows, self.cols, self.vals = diag, rows, cols, vals
+        self.config = config
+        self.sizes, self.order, self.starts = (layout.sizes, layout.order,
+                                               layout.starts)
+        self.local, self.entry_block = layout.local, layout.entry_block
+        self.vectors = np.zeros(len(diag))
+        self.residuals = np.full(len(self.sizes), math.nan)
 
     def members(self, b: int) -> np.ndarray:
         return self.order[self.starts[b]:self.starts[b] + self.sizes[b]]
@@ -653,6 +718,68 @@ def _start_vector(coarse: Optional[SectorVectors],
     return v0.ravel()
 
 
+class _Truncation:
+    """Everything of an exact solve that no nonzero coupling value changes.
+
+    Built by `_truncation` for one truncation: the basis, the diagonal, the
+    coupling pattern and magnitudes of `_hamiltonian_entries`, the block
+    layout of one component search over that pattern, every block's lowest
+    basis index (first), parity sector and the sector labels, and every
+    block's least and summed diagonal element.  All arrays are read-only.
+    """
+
+    def __init__(self, system: AtomicSystem, basis: TruncatedBasis,
+                 rwa: bool):
+        self.basis = basis
+        (self.diag, self.rows, self.cols, self.magnitude,
+         self.bounds) = _hamiltonian_entries(system, basis, rwa)
+        n = basis.size
+        n_blocks, block = connected_components(
+            sp.csr_matrix((self.magnitude, (self.rows, self.cols)),
+                          shape=(n, n)), directed=False)
+        self.layout = _Layout(block, n_blocks, self.rows)
+        starts = self.layout.starts
+        self.first = self.layout.order[starts]
+        self.sector, _, labels = _parity_sectors(system,
+                                                 _charges(basis)[self.first])
+        self.labels = tuple(labels)
+        on_blocks = self.diag[self.layout.order]
+        self.least_diag = np.minimum.reduceat(on_blocks, starts)
+        self.diag_sum = np.add.reduceat(on_blocks, starts)
+        _read_only(self.diag, self.rows, self.cols, self.magnitude,
+                   self.bounds, self.first, self.sector, self.least_diag,
+                   self.diag_sum)
+
+
+# the last truncations solved, least recent first; two, so that a grid
+# alternating between two atom numbers or cutoffs keeps both
+_TRUNCATIONS: "OrderedDict[tuple, _Truncation]" = OrderedDict()
+_TRUNCATIONS_KEPT = 2
+
+
+def _truncation(system: AtomicSystem, basis: TruncatedBasis,
+                rwa: bool) -> _Truncation:
+    """The structure of this truncation, built on its first solve only.
+
+    The key holds everything the structure depends on: the level and mode
+    frequencies, the pairs, which couplings are zero, the atom count, the
+    cutoffs and the model.
+    """
+    key = (system.n, system.omega,
+           tuple(sorted((t.pair, t.Omega, t.mu == 0.0)
+                        for t in system.transitions)),
+           basis.atom_count, basis.cutoffs, bool(rwa))
+    # pop and insert again, rather than look up and move: no other caller
+    # can evict the key in between
+    found = _TRUNCATIONS.pop(key, None)
+    if found is None:
+        found = _Truncation(system, basis, rwa)
+    _TRUNCATIONS[key] = found
+    while len(_TRUNCATIONS) > _TRUNCATIONS_KEPT:
+        _TRUNCATIONS.popitem(last=False)
+    return found
+
+
 def ground_state(system: AtomicSystem, atom_count: int,
                  cutoffs: Union[int, Mapping[Pair, int]], rwa: bool = False,
                  config: Optional[SolverConfig] = None,
@@ -662,12 +789,16 @@ def ground_state(system: AtomicSystem, atom_count: int,
     """Global ground state: the minimum over all per-sector lowest eigenpairs.
 
     One component search over the coupling elements splits the basis into
-    blocks that no element joins; they never cross a parity sector.  Blocks
-    whose Gershgorin lower bound lies more than the degeneracy tolerance
-    above their sector's least diagonal element (an upper bound on the
-    sector's lowest eigenvalue) can neither hold nor tie the sector minimum
-    and are skipped; the rest go through `_Blocks`.  Each sector's lowest
-    block wins it, ties going to the block holding the lowest basis index.
+    blocks that no element joins; they never cross a parity sector.  Every
+    block's least diagonal element and all-ones Rayleigh quotient bound its
+    lowest eigenvalue from above, so the least of them over a sector bounds
+    the sector's.  Blocks whose Gershgorin lower bound lies more than the
+    degeneracy tolerance above that can neither hold nor tie the sector
+    minimum and are skipped; the rest go through `_Blocks`.  Each sector's
+    lowest block wins it, ties going to the block holding the lowest basis
+    index.  The coupling-independent part of this (see `_Truncation`) is
+    built on a truncation's first solve and reused while it stays among the
+    last two solved.
 
     Deterministic for a fixed start.  Sectors within the degeneracy
     tolerance of the minimum are all reported; observables come from the
@@ -680,22 +811,29 @@ def ground_state(system: AtomicSystem, atom_count: int,
     """
     require_valid(system)
     config = config or SolverConfig()
-    basis = build_basis(system, atom_count, cutoffs, budget=budget)
-    diag, rows, cols, vals = _hamiltonian_entries(system, basis, rwa)
+    truncation = _truncation(
+        system, build_basis(system, atom_count, cutoffs, budget=budget), rwa)
+    basis, diag = truncation.basis, truncation.diag
+    rows, cols = truncation.rows, truncation.cols
+    vals = _coupling_values(system, basis, truncation.magnitude,
+                            truncation.bounds)
     n = basis.size
-    n_blocks, block = connected_components(
-        sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), directed=False)
-    blocks = _Blocks(block, n_blocks, diag, rows, cols, vals, config)
-    first = blocks.order[blocks.starts]  # lowest basis index of every block
-    sector, _, labels = _parity_sectors(system, _charges(basis)[first])
+    blocks = _Blocks(truncation.layout, diag, rows, cols, vals, config)
+    first, sector, labels = (truncation.first, truncation.sector,
+                             truncation.labels)
 
     # Gershgorin; no temporary of one value per entry outlives this line
     floor = np.minimum.reduceat(
         (diag - np.bincount(rows, np.abs(vals), n)
          - np.bincount(cols, np.abs(vals), n))[blocks.order], blocks.starts)
+    # each block's all-ones Rayleigh quotient; in exact arithmetic it lies
+    # above the block's Gershgorin bound, and the maximum keeps rounding
+    # from putting it below, so no block is skipped on its own quotient
+    quotient = (truncation.diag_sum + 2.0 * np.bincount(
+        blocks.entry_block, vals, len(blocks.sizes))) / blocks.sizes
+    upper = np.minimum(truncation.least_diag, np.maximum(floor, quotient))
     least = np.full(len(labels), math.inf)
-    np.minimum.at(least, sector,
-                  np.minimum.reduceat(diag[blocks.order], blocks.starts))
+    np.minimum.at(least, sector, upper)
     energies = blocks.lowest(
         todo=floor <= least[sector] + config.degeneracy_tol,
         start=None if rwa or start is None
@@ -725,7 +863,7 @@ def ground_state(system: AtomicSystem, atom_count: int,
     weights = vec * vec
     weights = weights / weights.sum()
     nu_cols = basis.nu_columns()[indices]
-    occ = basis.occupation_columns()[indices]
+    occ = np.array(basis.atomic_kets)[indices % basis.atomic_dim]
     nu = {
         p: float(weights @ nu_cols[:, m]) / atom_count
         for m, p in enumerate(basis.pairs)
@@ -791,8 +929,8 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
     the basis budget or the doubling budget runs out; the latter's message
     lists every step's cutoffs, energy per particle and boundary weight.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     require_valid(system)
 
     def step(r: QuantumGroundResult) -> str:

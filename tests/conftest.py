@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from polydicke import AtomicSystem, Transition, cascade_system, lambda_system, vee_system
+from polydicke import quantum
 
 # Benchmark parameter sets used throughout: a 3-level cascade
 # (Omega12=1, Omega23=0.5, omega2=1, omega3=1.3), a V system
 # (Omega13=1, Omega12=0.8, omega2=0.8, omega3=1), a Lambda system
 # (Omega13=1, Omega23=0.8, omega2=0.2, omega3=1), and a 4-level cascade
 # (Omega=1, 0.7, 0.3, omega=0, 1, 1.7, 2).
+
+
+@pytest.fixture(autouse=True)
+def cold_truncations():
+    """Start every test with no truncation structure kept from another."""
+    quantum._TRUNCATIONS.clear()
 
 
 @pytest.fixture

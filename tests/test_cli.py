@@ -10,7 +10,7 @@ import pytest
 
 from polydicke import (cascade_system, condensate, minimize, rwa_rescale,
                        suggest_cutoffs, transition_order)
-from polydicke import cli
+from polydicke import cli, quantum
 from polydicke.cli import main
 
 CASCADE = {
@@ -471,6 +471,30 @@ class TestExact:
                                                            (2, 3): 24}
         assert suggest_cutoffs(system, 4) == {(1, 2): 44, (2, 3): 44}
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0"])
+    def test_bad_tolerance_exits_1(self, system_file, tmp_path, capsys, tol):
+        code = main([
+            "exact", "--system", system_file(), "--na", "1",
+            f"--tol={tol}", "--out", str(tmp_path / "never.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "tolerance must be finite and positive" in err
+        assert not (tmp_path / "never.json").exists()
+
+    @pytest.mark.parametrize("spec", ["1-2=3.7", "3.7", "1-2=x"])
+    def test_non_integer_cutoff_exits_1(self, system_file, tmp_path, capsys,
+                                        spec):
+        code = main([
+            "exact", "--system", system_file(), "--na", "1",
+            "--cutoff", spec, "--cutoff", "2-3=4",
+            "--out", str(tmp_path / "never.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--cutoff {spec!r}: the cutoff must be an integer" in err
+        assert not (tmp_path / "never.json").exists()
+
     def test_points_do_not_depend_on_the_seed(self, system_file, tmp_path):
         # converged cutoffs of 32-38 and 52 put whole sectors of over 300
         # states on Lanczos, whose cold starts are all-ones, not seeded
@@ -534,6 +558,27 @@ class TestCompare:
             assert point["label_var"] == "N"
             assert point["E_var"] == 0.0
             assert point["gap"] >= -1e-9
+
+
+    def test_fixed_cutoff_grid_builds_one_structure(self, system_file,
+                                                     tmp_path, monkeypatch):
+        searches = []
+        search = quantum.connected_components
+
+        def recording(*args, **kwargs):
+            searches.append(args[0].shape[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "connected_components", recording)
+        out = tmp_path / "cmp_grid.json"
+        assert main([
+            "compare", "--system", system_file(),
+            "--axes", "1-2", "--axes", "2-3", "--range", "0.6:2.0",
+            "--res", "3", "--na", "2", "--cutoff", "1-2=16",
+            "--cutoff", "2-3=32", "--rwa", "--out", str(out),
+        ]) == 0
+        assert len(json.loads(out.read_text())["points"]) == 9
+        assert searches == [17 * 33 * 6]
 
 
 class TestDeterminism:

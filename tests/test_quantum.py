@@ -68,6 +68,34 @@ class TestBasis:
         with pytest.raises(ValueError):
             build_basis(xi(), 1, {(1, 2): -1, (2, 3): 2})
 
+    @pytest.mark.parametrize("cutoffs", [
+        True, np.True_, 3.0, 3.7, "3", None,
+        {(1, 2): True, (2, 3): 3}, {(1, 2): 3.7, (2, 3): 3},
+        {(1, 2): "3", (2, 3): 3}, {(1, 2): np.float64(3.0), (2, 3): 3}])
+    def test_rejects_cutoffs_that_are_not_integers(self, xi, cutoffs):
+        with pytest.raises(ValueError, match="cutoff of transition 1-2 must "
+                                             "be an integer"):
+            build_basis(xi(), 1, cutoffs)
+        with pytest.raises(ValueError, match="transition 1-2"):
+            ground_state(xi(), 1, cutoffs)
+
+    def test_negative_cutoff_names_the_transition(self, xi):
+        with pytest.raises(ValueError, match="transition 2-3 must be "
+                                             "nonnegative, got -1"):
+            build_basis(xi(), 1, {(1, 2): 2, (2, 3): -1})
+
+    def test_numpy_integer_cutoffs(self, xi):
+        want = ground_state(xi(), 1, {(1, 2): 4, (2, 3): 3})
+        for cutoffs in ({(1, 2): np.int64(4), (2, 3): np.int32(3)},
+                        {(1, 2): np.uint8(4), (2, 3): 3}):
+            got = ground_state(xi(), 1, cutoffs)
+            assert got == want
+            assert all(type(c) is int for c in got.cutoffs.values())
+        shared = ground_state(xi(), 1, np.int64(4))
+        assert shared == ground_state(xi(), 1, 4)
+        assert all(type(c) is int for c in shared.cutoffs.values())
+        assert shared.to_json_dict()["cutoffs"] == {"1_2": 4, "2_3": 4}
+
     @pytest.mark.parametrize("atoms", [0, -2])
     def test_rejects_fewer_than_one_atom(self, xi, atoms):
         with pytest.raises(ValueError, match=f"atom_count .*{atoms}"):
@@ -327,6 +355,13 @@ class TestConvergeCutoff:
         with pytest.raises(ValueError):
             converge_cutoff(xi(), 1, 4, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_and_non_finite_tol(self, xi, tol,
+                                                 component_searches):
+        with pytest.raises(ValueError, match="finite and positive"):
+            converge_cutoff(xi(), 1, 4, tol=tol)
+        assert component_searches == []
+
 
 @pytest.fixture
 def eigsh_starts(monkeypatch):
@@ -468,14 +503,15 @@ class TestWarmStart:
 
     def test_split_sector_warm_starts_one_block(self, lanczos_starts):
         # mu23 = 0 conserves nu23, so every sector splits into one chain per
-        # nu23 value; at cutoff 12 each chain holds 13 states (Lanczos)
+        # nu23 value; at cutoff 14 each chain holds 15 states (Lanczos), and
+        # the skip leaves at least three chains per sector to solve
         system = _xi(2.0, 0.0)
         coarse = ground_state(system, 1, 6, config=self.LANCZOS)
         lanczos_starts.clear()
-        warm = ground_state(system, 1, 12, config=self.LANCZOS, start=coarse)
+        warm = ground_state(system, 1, 14, config=self.LANCZOS, start=coarse)
         calls = list(lanczos_starts)
-        cold = ground_state(system, 1, 12, config=self.LANCZOS)
-        basis = build_basis(system, 1, 12)
+        cold = ground_state(system, 1, 14, config=self.LANCZOS)
+        basis = build_basis(system, 1, 14)
         sectors = split_sectors(system, basis)
         embedded, values = _embedded(coarse, basis)
         per_sector, warm_blocks = Counter(), Counter()
@@ -486,7 +522,7 @@ class TestWarmStart:
             mine = np.isin(embedded, sector.indices)
             fine, vec = embedded[mine], values[mine]
             if np.isin(fine, members).any():
-                # the whole coarse vector, zero on the states new at cutoff 12
+                # the whole coarse vector, zero on the states new at cutoff 14
                 warm_blocks[label] += 1
                 assert np.array_equal(members[v0 != 0.0], np.sort(fine))
                 assert np.array_equal(v0[np.searchsorted(members, fine)], vec)
@@ -628,8 +664,9 @@ def _block_solve(H, config):
     per connected component; ties go to the lowest component label."""
     n_comp, membership = connected_components(H, directed=False)
     lower = sp.tril(H, k=-1).tocoo()
-    blocks = quantum._Blocks(membership, n_comp, H.diagonal(), lower.row,
-                             lower.col, lower.data, config)
+    blocks = quantum._Blocks(quantum._Layout(membership, n_comp, lower.row),
+                             H.diagonal(), lower.row, lower.col, lower.data,
+                             config)
     energies = blocks.lowest()
     comp = int(np.argmin(energies))
     vec = np.zeros(H.shape[0])
@@ -1134,10 +1171,21 @@ class TestChargeBlocks:
         result = ground_state(system, 4, cut, rwa=True)
         blocks, = block_solves
         solved, = blocks.solved
-        assert 0 < solved.sum() < len(solved) / 2
+        # 1527 blocks, 256 of them with a Gershgorin bound below their
+        # sector's minimum; the sector's least diagonal element as the upper
+        # bound leaves 451 to solve, the blocks' all-ones Rayleigh quotients
+        # 374
+        assert len(solved) == 1527
+        assert 256 <= solved.sum() < 400
         want = _component_route(system, 4, cut, SolverConfig(), rwa=True)
+        assert result.sector == want["sector"]
+        assert result.degenerate_sectors == want["degenerate_sectors"]
+        assert result.energy == pytest.approx(want["energy"], abs=1e-10)
         assert result.sector_energies == pytest.approx(
             want["sector_energies"], abs=1e-10)
+        assert result.nu == pytest.approx(want["nu"], abs=1e-10)
+        assert result.populations == pytest.approx(want["populations"],
+                                                   abs=1e-10)
 
     def test_zero_couplings_tie_to_lowest_index(self, xi, block_solves):
         # photon 1-2 with the atom in level 1 and no photon with the atom in
@@ -1165,3 +1213,123 @@ class TestChargeBlocks:
         for b in range(len(blocks.sizes)):
             assert len(set(nu12[blocks.members(b)])) == 1
         assert blocks.sizes.max() > 1
+
+
+def _assert_same_result(got, want):
+    """Two results equal bit for bit, lowest vectors included."""
+    assert got == want
+    if want.sector_vectors is None:
+        assert got.sector_vectors is None
+    else:
+        assert np.array_equal(got.sector_vectors.vector,
+                              want.sector_vectors.vector)
+
+
+def _cold(solve):
+    """solve() on an empty truncation cache."""
+    quantum._TRUNCATIONS.clear()
+    return solve()
+
+
+@pytest.fixture
+def component_searches(monkeypatch):
+    """Count the component searches, one per truncation structure built."""
+    calls = []
+    search = quantum.connected_components
+
+    def recording(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "connected_components", recording)
+    return calls
+
+
+class TestTruncationCache:
+    CAP = {2: 5, 3: 3, 4: 2}
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(drawn=_systems(st.integers(2, 4)), atoms=st.integers(1, 2),
+           rwa=st.booleans(), cut=st.integers(0, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(drawn=(_triangle(), 0), atoms=2, rwa=True, cut=3, seed=0)
+    def test_new_couplings_match_a_cold_solve(self, drawn, atoms, rwa, cut,
+                                              seed):
+        system, zero = drawn
+        first = _with_zeros(system, zero)
+        rng = np.random.default_rng(seed)
+        # new values for the nonzero couplings, so the truncation repeats
+        second = first.with_couplings({t.pair: float(rng.uniform(0.05, 2.0))
+                                       for t in first.transitions
+                                       if t.mu != 0.0})
+        cut = min(cut, self.CAP[system.n])
+        config = SolverConfig(dense_threshold=8)
+        ground_state(first, atoms, cut, rwa=rwa, config=config)
+        kept = list(quantum._TRUNCATIONS.values())
+        warm = ground_state(second, atoms, cut, rwa=rwa, config=config)
+        assert list(quantum._TRUNCATIONS.values()) == kept
+        cold = _cold(lambda: ground_state(second, atoms, cut, rwa=rwa,
+                                          config=config))
+        _assert_same_result(warm, cold)
+
+    @pytest.mark.parametrize("change", [
+        "omega", "Omega", "zero_mu", "atoms", "cutoff", "rwa"])
+    def test_each_key_part_gives_the_cold_answer(self, change,
+                                                 component_searches):
+        base = dict(omega=[0.0, 1.0, 1.3], Omega=[1.0, 0.5], mu=[0.9, 1.1],
+                    atoms=2, cutoff={(1, 2): 5, (2, 3): 4}, rwa=False)
+        changed = dict(base, **{
+            "omega": dict(omega=[0.0, 1.1, 1.3]),
+            "Omega": dict(Omega=[1.0, 0.6]),
+            "zero_mu": dict(mu=[0.9, 0.0]),
+            "atoms": dict(atoms=3),
+            "cutoff": dict(cutoff={(1, 2): 5, (2, 3): 5}),
+            "rwa": dict(rwa=True),
+        }[change])
+
+        def solve(p):
+            system = cascade_system(p["omega"], p["Omega"], p["mu"],
+                                    atom_count=p["atoms"])
+            return ground_state(system, p["atoms"], p["cutoff"],
+                                rwa=p["rwa"])
+
+        solve(base)
+        warm = solve(changed)
+        # the base structure is still kept: solving it again searches none
+        again = solve(base)
+        assert len(component_searches) == 2
+        _assert_same_result(warm, _cold(lambda: solve(changed)))
+        _assert_same_result(again, _cold(lambda: solve(base)))
+
+    def test_two_structures_are_kept(self, xi, component_searches):
+        for atoms in (1, 2, 1, 2, 3, 1):
+            ground_state(xi(0.8, 1.2), atoms, 4, rwa=True)
+        # 1, 2 and 3 built; 1 rebuilt after 3 displaced it
+        assert len(component_searches) == 4
+
+    def test_a_hit_still_checks_budget_and_system(self, xi,
+                                                  component_searches):
+        cut = {(1, 2): 6, (2, 3): 6}
+        ground_state(xi(1.0, 1.0), 1, cut)
+        with pytest.raises(BudgetError, match="budget"):
+            ground_state(xi(0.9, 1.1), 1, cut, budget=100)
+        with pytest.raises(ValueError, match="dipolar strength"):
+            ground_state(xi(-0.9, 1.1), 1, cut)
+        with pytest.raises(ValueError, match="atom_count"):
+            ground_state(xi(0.9, 1.1), 0, cut)
+        assert len(component_searches) == 1
+
+    def test_kept_arrays_are_read_only(self, xi):
+        ground_state(xi(1.0, 1.0), 2, 4, rwa=True)
+        truncation, = quantum._TRUNCATIONS.values()
+        layout = truncation.layout
+        arrays = [value for owner in (truncation, layout)
+                  for value in vars(owner).values()
+                  if isinstance(value, np.ndarray)]
+        arrays.append(truncation.basis.nu_columns())
+        assert len(arrays) == 15
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
