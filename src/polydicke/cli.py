@@ -407,8 +407,8 @@ def cmd_compare(args) -> int:
         agree = None
         if two_modes and result.delta_nu is not None and best.pair is not None:
             pa, pb = system.pairs
-            predicted = (("S_{}_{}".format(*pa)) if result.delta_nu < 0
-                         else ("S_{}_{}".format(*pb)))
+            predicted = variational.region_tag(pa if result.delta_nu < 0
+                                               else pb)
             agree = predicted == best.region
         labels[index] = best.region
         agrees[index] = agree

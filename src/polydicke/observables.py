@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import AtomicSystem, Pair, require_valid
 from .variational import (KIND_NORMAL, VariationalCandidate, condensate,
-                          minimize_array)
+                          minimize_array, region_tag)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def sweep_rows(system: AtomicSystem,
     """
     size = len(next(iter(mu.values())))
     best, _ = minimize_array(system, mu, (size,))
-    region = np.full(size, "N", dtype=object)
+    region = np.full(size, region_tag(None), dtype=object)
     tag = np.full(size, "-", dtype=object)
     nu, coh, var = np.zeros(size), np.zeros(size), np.zeros(size)
     pop = np.zeros((system.n, size))
@@ -155,7 +155,7 @@ def sweep_rows(system: AtomicSystem,
         coupling = mu.get((j, k), system.transition((j, k)).mu)
         obs = condensate_observables(
             system, (j, k), np.broadcast_to(coupling, (size,))[at])
-        region[at] = f"S_{j}_{k}"
+        region[at] = region_tag((j, k))
         pop[j - 1, at] = obs.pop_low
         pop[k - 1, at] = obs.pop_high
         # as in csv_row, the pair is reported only where it holds photons

@@ -33,9 +33,7 @@ class RegionLabel:
     pair: Optional[Pair] = None
 
     def __str__(self) -> str:
-        if self.pair is None:
-            return "N"
-        return f"S_{self.pair[0]}_{self.pair[1]}"
+        return variational.region_tag(self.pair)
 
     @classmethod
     def parse(cls, tag: str) -> "RegionLabel":

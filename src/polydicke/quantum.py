@@ -30,19 +30,28 @@ its sector is skipped.  The rest are solved by size:
   only the winning blocks get an eigenvector solve; a block alone in its
   stacks gets one LAPACK lowest-eigenpair solve instead;
 * larger blocks go through `eigsh`, a plain two-pass Lanczos for the lowest
-  eigenpair that keeps no Krylov basis.
+  eigenpair that keeps no Krylov basis and returns its Ritz vector's
+  Rayleigh quotient.
 
 The default threshold of 300 states sits at the measured crossover: on ξ
-sector blocks, one thread, the dense lowest-eigenpair solve takes 0.7 ms at
-169 states, 2.3 ms at 300 and 21 ms at 721, and the Lanczos solve from a
-random start 1.7 ms, 2.3-4.3 ms and 3.6 ms.
+sector blocks, N_a = 1, one thread, the dense lowest-eigenpair solve takes
+1.6-1.8 ms at 169 states, 3.3-6.1 ms at 300 and 38-54 ms at 721, and the
+Lanczos solve from the all-ones start 4.1-5.9 ms, 2.7-6.2 ms and 6.7-8.4 ms
+(three couplings, shared 2-core host).
 
 Apart from the element values, all of this depends on the couplings only
-through which of them are zero.  So the basis, the diagonal, the coupling
-pattern with its magnitudes sqrt(nu + 1) * hop, the block layout and the
-sector labels are built once per truncation (`_Truncation`) and kept,
-read-only, for the last two truncations solved; a new coupling only scales
-the magnitudes into values, bounds the blocks and solves them.
+through which of them are zero.  So the diagonal, the coupling pattern with
+its magnitudes sqrt(nu + 1) * hop and transitions, the block layout and the
+sector labels (`_Truncation`) are built from the structure system, the
+system with every nonzero mu set to 1, and the basis.  A
+`functools.lru_cache(maxsize=2)` keyed on the structure system, the basis
+and the model keeps them, read-only, for the last two truncations solved;
+a new coupling only scales the magnitudes into values, bounds the blocks
+and solves them.
+
+`build_hamiltonian`, `split_sectors` and `SymmetrySector` are reference
+views of the same operator and partition that the solve never calls; the
+tests check the solve against them.
 
 Every solved block writes its lowest vector into one array over the basis,
 and its residual into one value per block; no block matrix outlives its
@@ -58,8 +67,8 @@ since no solve can start from it, and computes only its winner's.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -236,12 +245,12 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
                                              np.ndarray]:
     """Diagonal and coupling pattern of the truncated Hamiltonian.
 
-    Returns (diag, rows, cols, magnitude, bounds): diag[i] = H_ii for every
-    basis index, and each coupling element joins a target (row) holding one
-    photon more than its source (column), with the bosonic and atomic
-    factor sqrt(nu + 1) * hop in magnitude.  The elements of transition m
-    are entries bounds[m]:bounds[m + 1]; `_coupling_values` scales them
-    into H[rows, cols].  The rest of H is the transpose of these.  A photon
+    Returns (diag, rows, cols, magnitude, transition): diag[i] = H_ii for
+    every basis index, and each coupling element joins a target (row)
+    holding one photon more than its source (column), with the bosonic and
+    atomic factor sqrt(nu + 1) * hop in magnitude and the index of its
+    transition in basis.pairs; `_coupling_values` scales them into
+    H[rows, cols].  The rest of H is the transpose of these.  A photon
     added to mode m moves the index by that mode's stride times atomic_dim;
     the atom's hop moves it by the offset between two rows of the
     composition table.  Transitions with mu = 0 contribute no element.
@@ -262,10 +271,11 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
     index = np.int32 if basis.size <= np.iinfo(np.int32).max else np.int64
     rows, cols = [np.zeros(0, index)], [np.zeros(0, index)]
     magnitude = [diag[:0]]
-    bounds = np.zeros(len(basis.pairs) + 1, dtype=np.int64)
+    # one byte per element while there are at most 255 transitions
+    kind = np.min_scalar_type(len(basis.pairs))
+    transition = [np.zeros(0, kind)]
     for m, p in enumerate(basis.pairs):
         t = system.transition(p)
-        bounds[m + 1] = bounds[m]
         if t.mu == 0.0:
             continue
         src = np.flatnonzero(photons[:, m] < basis.cutoffs[m]).astype(index)
@@ -288,27 +298,25 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
             rows.append(source + np.tile(
                 (int(strides[m]) + target - a).astype(index), len(src)))
             magnitude.append((ladder[:, np.newaxis] * hop).ravel())
-            bounds[m + 1] += len(source)
+            transition.append(np.full(len(source), m, kind))
     return (diag, np.concatenate(rows), np.concatenate(cols),
-            np.concatenate(magnitude), bounds)
+            np.concatenate(magnitude), np.concatenate(transition))
 
 
 def _coupling_values(system: AtomicSystem, basis: TruncatedBasis,
-                     magnitude: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+                     magnitude: np.ndarray,
+                     transition: np.ndarray) -> np.ndarray:
     """H[rows, cols] of `_hamiltonian_entries`' coupling elements: each
-    transition's magnitudes times -mu / sqrt(N_a)."""
-    scale = 1.0 / math.sqrt(basis.atom_count)
-    vals = np.empty_like(magnitude)
-    for m, p in enumerate(basis.pairs):
-        t = system.transition(p)
-        lo, hi = bounds[m], bounds[m + 1]
-        np.multiply(-(t.mu * scale), magnitude[lo:hi], out=vals[lo:hi])
-    return vals
+    magnitude times -mu / sqrt(N_a) of its transition."""
+    mu = np.array([system.transition(p).mu for p in basis.pairs])
+    return np.take(-(mu * (1.0 / math.sqrt(basis.atom_count))),
+                   transition) * magnitude
 
 
 def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
                       rwa: bool = False) -> sp.csr_matrix:
-    """Real symmetric Hamiltonian on the truncated basis.
+    """Real symmetric Hamiltonian on the truncated basis, as one sparse
+    matrix: a reference view that `ground_state` never builds.
 
     Diagonal: sum Omega nu + sum omega_j n_j.  Off-diagonal per transition:
     -(mu/sqrt(N_a)) (A_jk + A_kj)(a + a^dag) with the usual bosonic matrix
@@ -317,9 +325,9 @@ def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
     Amplitudes that would leave the truncation are dropped.
     """
     require_valid(system)
-    diag, rows, cols, magnitude, bounds = _hamiltonian_entries(system, basis,
-                                                               rwa)
-    vals = _coupling_values(system, basis, magnitude, bounds)
+    diag, rows, cols, magnitude, transition = _hamiltonian_entries(
+        system, basis, rwa)
+    vals = _coupling_values(system, basis, magnitude, transition)
     states = np.arange(basis.size, dtype=rows.dtype)
     return sp.csr_matrix(
         (np.concatenate([diag, vals, vals]),
@@ -330,7 +338,7 @@ def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
 
 @dataclass(frozen=True)
 class SymmetrySector:
-    """One charge-parity class of basis indices.
+    """One charge-parity class of basis indices, as `split_sectors` lists it.
 
     The two-letter name (parity of the total excitation number, parity of
     the top-level charge) is used whenever the configuration admits
@@ -387,7 +395,9 @@ def split_sectors(system: AtomicSystem,
     """Partition the basis by the parities of every level charge.
 
     The partition depends only on the basis, never on couplings, and the
-    Hamiltonian has no matrix element between different classes.
+    Hamiltonian has no matrix element between different classes.  A
+    reference view: `ground_state` labels its blocks through
+    `_parity_sectors` and never calls this.
     """
     require_valid(system)
     sector, parity, labels = _parity_sectors(system, _charges(basis))
@@ -491,7 +501,10 @@ def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     tridiagonal is taken, and the solve stops once the residual estimate
     |beta_j s_j| falls to 1e-14 max(1, |theta|).  A second pass replays the
     recurrence from the stored coefficients and sums the Ritz vector, so no
-    Krylov basis is kept.  Returns theta and the unit Ritz vector; raises a
+    Krylov basis is kept.  Returns the unit Ritz vector x and its Rayleigh
+    quotient x @ (H @ x), which unlike theta never falls below the block's
+    lowest eigenvalue once the recurrence has lost orthogonality (a solve
+    of one step returns its start, whose quotient is alpha_0); raises a
     RuntimeError after _LANCZOS_STEPS steps.
 
     The start must overlap the lowest eigenvector.  A random start does, and
@@ -528,7 +541,8 @@ def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
         w -= (beta[j - 1] if j else 0.0) * q_prev
         q_prev, q = q, w / beta[j]
         x += s[j + 1, 0] * q
-    return float(theta[0]), x / np.linalg.norm(x)
+    x /= np.linalg.norm(x)
+    return (alpha[0] if len(alpha) == 1 else float(x @ (H @ x))), x
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -721,18 +735,19 @@ def _start_vector(coarse: Optional[SectorVectors],
 class _Truncation:
     """Everything of an exact solve that no nonzero coupling value changes.
 
-    Built by `_truncation` for one truncation: the basis, the diagonal, the
-    coupling pattern and magnitudes of `_hamiltonian_entries`, the block
-    layout of one component search over that pattern, every block's lowest
-    basis index (first), parity sector and the sector labels, and every
-    block's least and summed diagonal element.  All arrays are read-only.
+    Built from the structure system (every nonzero mu set to 1, see
+    `_truncation`) and the basis: the diagonal, the coupling pattern,
+    magnitudes and transitions of `_hamiltonian_entries`, the block layout
+    of one component search over that pattern, every block's lowest basis
+    index (first), parity sector and the sector labels, and every block's
+    least and summed diagonal element.  All arrays are read-only.
     """
 
-    def __init__(self, system: AtomicSystem, basis: TruncatedBasis,
+    def __init__(self, structure: AtomicSystem, basis: TruncatedBasis,
                  rwa: bool):
         self.basis = basis
         (self.diag, self.rows, self.cols, self.magnitude,
-         self.bounds) = _hamiltonian_entries(system, basis, rwa)
+         self.transition) = _hamiltonian_entries(structure, basis, rwa)
         n = basis.size
         n_blocks, block = connected_components(
             sp.csr_matrix((self.magnitude, (self.rows, self.cols)),
@@ -740,44 +755,28 @@ class _Truncation:
         self.layout = _Layout(block, n_blocks, self.rows)
         starts = self.layout.starts
         self.first = self.layout.order[starts]
-        self.sector, _, labels = _parity_sectors(system,
+        self.sector, _, labels = _parity_sectors(structure,
                                                  _charges(basis)[self.first])
         self.labels = tuple(labels)
         on_blocks = self.diag[self.layout.order]
         self.least_diag = np.minimum.reduceat(on_blocks, starts)
         self.diag_sum = np.add.reduceat(on_blocks, starts)
         _read_only(self.diag, self.rows, self.cols, self.magnitude,
-                   self.bounds, self.first, self.sector, self.least_diag,
+                   self.transition, self.first, self.sector, self.least_diag,
                    self.diag_sum)
 
 
-# the last truncations solved, least recent first; two, so that a grid
-# alternating between two atom numbers or cutoffs keeps both
-_TRUNCATIONS: "OrderedDict[tuple, _Truncation]" = OrderedDict()
-_TRUNCATIONS_KEPT = 2
-
-
-def _truncation(system: AtomicSystem, basis: TruncatedBasis,
+# two, so that a grid alternating between two atom numbers or cutoffs
+# keeps both
+@functools.lru_cache(maxsize=2)
+def _truncation(structure: AtomicSystem, basis: TruncatedBasis,
                 rwa: bool) -> _Truncation:
     """The structure of this truncation, built on its first solve only.
 
-    The key holds everything the structure depends on: the level and mode
-    frequencies, the pairs, which couplings are zero, the atom count, the
-    cutoffs and the model.
+    structure is the system with every nonzero mu set to 1, so the key
+    holds everything but the coupling values.
     """
-    key = (system.n, system.omega,
-           tuple(sorted((t.pair, t.Omega, t.mu == 0.0)
-                        for t in system.transitions)),
-           basis.atom_count, basis.cutoffs, bool(rwa))
-    # pop and insert again, rather than look up and move: no other caller
-    # can evict the key in between
-    found = _TRUNCATIONS.pop(key, None)
-    if found is None:
-        found = _Truncation(system, basis, rwa)
-    _TRUNCATIONS[key] = found
-    while len(_TRUNCATIONS) > _TRUNCATIONS_KEPT:
-        _TRUNCATIONS.popitem(last=False)
-    return found
+    return _Truncation(structure, basis, rwa)
 
 
 def ground_state(system: AtomicSystem, atom_count: int,
@@ -812,11 +811,13 @@ def ground_state(system: AtomicSystem, atom_count: int,
     require_valid(system)
     config = config or SolverConfig()
     truncation = _truncation(
-        system, build_basis(system, atom_count, cutoffs, budget=budget), rwa)
+        system.with_couplings({t.pair: 1.0 for t in system.transitions
+                               if t.mu != 0.0}),
+        build_basis(system, atom_count, cutoffs, budget=budget), bool(rwa))
     basis, diag = truncation.basis, truncation.diag
     rows, cols = truncation.rows, truncation.cols
     vals = _coupling_values(system, basis, truncation.magnitude,
-                            truncation.bounds)
+                            truncation.transition)
     n = basis.size
     blocks = _Blocks(truncation.layout, diag, rows, cols, vals, config)
     first, sector, labels = (truncation.first, truncation.sector,

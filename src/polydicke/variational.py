@@ -32,6 +32,12 @@ KIND_LOW = "low"    # condensate pairing the ground level with level k
 KIND_HIGH = "high"  # condensate of two excited levels (infinite-radius branch)
 
 
+def region_tag(pair: Optional[Pair]) -> str:
+    """Phase-region tag: 'N' for the normal region (no pair), 'S_j_k' for
+    the collective region of pair (j, k)."""
+    return "N" if pair is None else f"S_{pair[0]}_{pair[1]}"
+
+
 @dataclass(frozen=True)
 class FieldAmplitudes:
     """Per-transition field radius (per particle) and phase, keyed by (j,k)."""
@@ -83,9 +89,7 @@ class VariationalCandidate:
     @property
     def region(self) -> str:
         """Phase-diagram tag: 'N' or 'S_j_k'."""
-        if self.kind == KIND_NORMAL:
-            return "N"
-        return f"S_{self.pair[0]}_{self.pair[1]}"
+        return region_tag(self.pair)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from polydicke import quantum
 @pytest.fixture(autouse=True)
 def cold_truncations():
     """Start every test with no truncation structure kept from another."""
-    quantum._TRUNCATIONS.clear()
+    quantum._truncation.cache_clear()
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -579,6 +580,82 @@ class TestCompare:
         ]) == 0
         assert len(json.loads(out.read_text())["points"]) == 9
         assert searches == [17 * 33 * 6]
+
+
+class TestCompareScoring:
+    """Which cells `compare` scores: those whose whole Chebyshev
+    neighbourhood of radius 2 within the grid shares their label."""
+
+    def test_one_axis_margin_and_edges(self):
+        labels = np.array(["N"] * 6 + ["S"] * 6, dtype=object)
+        kept = cli._away_from_label_changes(labels, margin=2)
+        assert kept.tolist() == [True] * 4 + [False] * 4 + [True] * 4
+
+    def test_grid_narrower_than_the_margin(self):
+        labels = np.array(["S_1_2"] * 3, dtype=object)
+        assert cli._away_from_label_changes(labels, margin=2).all()
+
+    def test_two_axes_stripe_reaches_every_row(self):
+        labels = np.full((5, 7), "N", dtype=object)
+        labels[:, 3:] = "S"
+        kept = cli._away_from_label_changes(labels, margin=2)
+        row = [True, False, False, False, False, True, True]
+        assert kept.tolist() == [row] * 5
+
+    def test_two_axes_corner_cell_is_a_chebyshev_square(self):
+        labels = np.full((6, 6), "N", dtype=object)
+        labels[0, 0] = "S"
+        kept = cli._away_from_label_changes(labels, margin=2)
+        # cells at Chebyshev distance <= 2 of the odd corner, the corner
+        # included, are dropped; (2, 3) is 3 columns away and kept
+        i, j = np.indices((6, 6))
+        assert np.array_equal(kept, np.maximum(i, j) > 2)
+        assert kept[2, 3] and kept[5, 5] and kept[0, 5]
+
+    @staticmethod
+    def _compare(system_file, tmp_path, monkeypatch, axes, delta_nu):
+        """compare on the xi system with the exact solve replaced by one
+        returning delta_nu(couplings)."""
+        def exact_at(system, mu, args, cutoffs):
+            return SimpleNamespace(energy=-10.0, delta_nu=delta_nu(mu))
+
+        monkeypatch.setattr(cli, "_exact_at", exact_at)
+        out = tmp_path / "scored.json"
+        assert main(["compare", "--system", system_file(), *axes,
+                     "--na", "1", "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_summary_scores_interior_collective_cells(self, system_file,
+                                                      tmp_path, monkeypatch):
+        # mu23 = 1: S_2_3 at mu12 = 0 .. 1.0, S_1_2 at 1.2 .. 2.0
+        dn = {0: 0.5, 1: -0.5, 2: 0.5, 3: 0.5, 4: -0.5, 5: 0.5,
+              6: -0.5, 7: 0.5, 8: -0.5, 9: None, 10: -0.5}
+        payload = self._compare(
+            system_file, tmp_path, monkeypatch,
+            ["--axes", "1-2", "--range", "0:2", "--res", "11"],
+            lambda mu: dn[round(mu[(1, 2)] * 5)])
+        labels = [p["label_var"] for p in payload["points"]]
+        assert labels == ["S_2_3"] * 6 + ["S_1_2"] * 5
+        # interior cells 0-3 and 8-10; cell 9 has no delta_nu, and of the
+        # other six only cell 1 predicts the wrong region
+        assert payload["summary"]["cells_scored"] == 6
+        assert payload["summary"]["label_agreement_fraction"] == 5 / 6
+        assert [p["labels_agree"] for p in payload["points"]] == [
+            True, False, True, True, False, True,
+            True, False, True, None, True]
+
+    def test_no_scored_cell_gives_no_fraction(self, system_file, tmp_path,
+                                              monkeypatch):
+        # the normal region predicts no pair, so no cell is scored
+        payload = self._compare(
+            system_file, tmp_path, monkeypatch,
+            ["--axes", "1-2", "--axes", "2-3", "--range", "0.05:0.3",
+             "--res", "5"],
+            lambda mu: -0.5)
+        assert {p["label_var"] for p in payload["points"]} == {"N"}
+        assert payload["summary"]["cells"] == 25
+        assert payload["summary"]["cells_scored"] == 0
+        assert payload["summary"]["label_agreement_fraction"] is None
 
 
 class TestDeterminism:

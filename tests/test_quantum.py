@@ -901,6 +901,21 @@ class TestLanczos:
         assert energy == pytest.approx(want, abs=1e-14)
         assert np.array_equal(vec, v0 / np.linalg.norm(v0))
 
+    def test_energy_never_below_the_dense_minimum(self):
+        # a cold solve long enough to lose orthogonality: theta of the
+        # tridiagonal fell 2.3e-12 below the sector minimum here
+        system = random_system(np.random.default_rng(1), 3).with_couplings(
+            {(1, 2): 0.0})
+        result = ground_state(system, 2, 32,
+                              config=SolverConfig(dense_threshold=8))
+        basis = build_basis(system, 2, 32)
+        H = build_hamiltonian(system, basis)
+        sector, = [s for s in split_sectors(system, basis) if s.label == "ee"]
+        dense = np.linalg.eigvalsh(
+            H[sector.indices][:, sector.indices].toarray())[0] / 2
+        assert dense == pytest.approx(-0.178752511047262, abs=1e-14)
+        assert result.sector_energies["ee"] >= dense - 1e-14
+
     def test_two_state_block(self):
         H = sp.csr_matrix(np.array([[0.3, -0.8], [-0.8, 1.1]]))
         energy, vec = quantum.eigsh(H, v0=np.array([0.2, -1.0]))
@@ -1227,8 +1242,22 @@ def _assert_same_result(got, want):
 
 def _cold(solve):
     """solve() on an empty truncation cache."""
-    quantum._TRUNCATIONS.clear()
+    quantum._truncation.cache_clear()
     return solve()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Record every truncation structure built, in order."""
+    structures = []
+    build = quantum._Truncation
+
+    def recording(*args):
+        structures.append(build(*args))
+        return structures[-1]
+
+    monkeypatch.setattr(quantum, "_Truncation", recording)
+    return structures
 
 
 @pytest.fixture
@@ -1265,10 +1294,10 @@ class TestTruncationCache:
                                        if t.mu != 0.0})
         cut = min(cut, self.CAP[system.n])
         config = SolverConfig(dense_threshold=8)
-        ground_state(first, atoms, cut, rwa=rwa, config=config)
-        kept = list(quantum._TRUNCATIONS.values())
+        _cold(lambda: ground_state(first, atoms, cut, rwa=rwa, config=config))
         warm = ground_state(second, atoms, cut, rwa=rwa, config=config)
-        assert list(quantum._TRUNCATIONS.values()) == kept
+        # the second solve reused the first one's structure
+        assert quantum._truncation.cache_info().misses == 1
         cold = _cold(lambda: ground_state(second, atoms, cut, rwa=rwa,
                                           config=config))
         _assert_same_result(warm, cold)
@@ -1320,9 +1349,9 @@ class TestTruncationCache:
             ground_state(xi(0.9, 1.1), 0, cut)
         assert len(component_searches) == 1
 
-    def test_kept_arrays_are_read_only(self, xi):
+    def test_kept_arrays_are_read_only(self, xi, built):
         ground_state(xi(1.0, 1.0), 2, 4, rwa=True)
-        truncation, = quantum._TRUNCATIONS.values()
+        truncation, = built
         layout = truncation.layout
         arrays = [value for owner in (truncation, layout)
                   for value in vars(owner).values()
