@@ -2,17 +2,18 @@
 observables, run exact diagonalization, and compare the two pipelines.
 
 All outputs are CSV (grids, sweeps) or JSON (structured results) with a
-metadata block carrying the tool version, a hash of the resolved run
-configuration, and the seed, so identical invocations produce byte-identical
-files.  Files are written to a uniquely named temporary sibling and
-renamed into place.
-Exit codes: 0 success, 1 configuration error, 2 budget or convergence
-failure.
+metadata block carrying the tool name and version, the command, and a hash
+of the resolved run configuration, so identical invocations produce
+byte-identical files.  Files are written to a uniquely named temporary
+sibling and renamed into place.
+Exit codes: 0 success, 1 configuration or usage error, 2 budget or
+convergence failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -87,7 +88,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _meta(command: str, config: Mapping, seed: int) -> Dict:
+def _meta(command: str, config: Mapping) -> Dict:
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()
@@ -96,29 +97,34 @@ def _meta(command: str, config: Mapping, seed: int) -> Dict:
         "version": __version__,
         "command": command,
         "config_sha256": digest,
-        "seed": seed,
     }
 
 
 def _meta_lines(meta: Mapping) -> List[str]:
-    return [f"{key}: {meta[key]}" for key in
-            ("tool", "version", "command", "config_sha256", "seed")]
+    return [f"{key}: {value}" for key, value in meta.items()]
 
 
 def _json_text(payload: Mapping) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
+def _pairs(texts: Sequence[str], system: AtomicSystem,
+           where: str) -> List[Pair]:
+    """Distinct transitions of the system, parsed from texts like 1-2."""
+    pairs = [_parse_pair(text) for text in texts]
+    for m, p in enumerate(pairs):
+        if p not in system.pairs:
+            raise CliError(f"unknown transition {p[0]}-{p[1]} in {where}")
+        if p in pairs[:m]:
+            raise CliError(f"transition {p[0]}-{p[1]} given twice in {where}")
+    return pairs
+
+
 def _resolve_axes(args, system: AtomicSystem,
                   minimum: int = 1, maximum: int = 3):
     if not args.axes:
         return []
-    pairs = [_parse_pair(a) for a in args.axes]
-    for m, p in enumerate(pairs):
-        if p not in system.pairs:
-            raise CliError(f"unknown transition {p[0]}-{p[1]} in axes")
-        if p in pairs[:m]:
-            raise CliError(f"transition {p[0]}-{p[1]} given twice in axes")
+    pairs = _pairs(args.axes, system, "--axes")
     if not minimum <= len(pairs) <= maximum:
         raise CliError(f"expected between {minimum} and {maximum} axes")
     ranges = [_parse_range(r) for r in (args.range or [])]
@@ -190,53 +196,50 @@ def _separatrix_payload(system: AtomicSystem, axes, resolution: int,
     back to the axis units of the scan.
     """
     curves = []
-    normals = {}
-    for p, (lo, hi) in axes:
-        mu_star = phasemap.normal_boundary(system, p)
-        if rwa:
-            mu_star *= 2.0
-        normals[f"{p[0]}_{p[1]}"] = mu_star
-    if len(axes) == 2:
-        (pa, (alo, ahi)), (pb, (blo, bhi)) = axes
-        la = str(phasemap.RegionLabel(pa))
-        lb = str(phasemap.RegionLabel(pb))
-        ma = normals[f"{pa[0]}_{pa[1]}"]
-        mb = normals[f"{pb[0]}_{pb[1]}"]
-        if alo <= ma <= ahi and blo < mb:
-            curves.append({
-                "kind": "normal-collective",
-                "regions": ["N", la],
-                "order": phasemap.transition_order("N", la),
-                "points": [[ma, blo], [ma, min(bhi, mb)]],
-            })
-        if blo <= mb <= bhi and alo < ma:
-            curves.append({
-                "kind": "normal-collective",
-                "regions": ["N", lb],
-                "order": phasemap.transition_order("N", lb),
-                "points": [[alo, mb], [min(ahi, ma), mb]],
-            })
-        if mb >= bhi:
-            return {"normal_boundaries": normals, "curves": curves}
-        scale = 0.5 if rwa else 1.0
-        fixed = np.linspace(max(blo, mb), bhi, max(resolution, 16))[1:]
-        curve = phasemap.collective_boundary(
-            system, pa, pb,
-            phasemap.BoundarySweep(
-                fixed_values=tuple(scale * v for v in fixed),
-                solve_range=(scale * max(alo, 1e-9), scale * ahi),
-            ),
-        )
-        if curve.points:
-            pts = [[a / scale, b / scale] for a, b in curve.points]
-            curves.append({
-                "kind": curve.kind,
-                "regions": [curve.label_a, curve.label_b],
-                "order": curve.order,
-                "points": pts,
-                "zeta_max_discrepancy": curve.zeta_max_discrepancy,
-            })
-    return {"normal_boundaries": normals, "curves": curves}
+    mu_star = {p: phasemap.normal_boundary(system, p) * (2.0 if rwa else 1.0)
+               for p, _ in axes}
+    payload = {"normal_boundaries": {f"{j}_{k}": m
+                                     for (j, k), m in mu_star.items()},
+               "curves": curves}
+    if len(axes) != 2:
+        return payload
+    (pa, (alo, ahi)), (pb, (blo, bhi)) = axes
+    ma, mb = mu_star[pa], mu_star[pb]
+    la, lb = variational.region_tag(pa), variational.region_tag(pb)
+    if alo <= ma <= ahi and blo < mb:
+        curves.append({
+            "kind": "normal-collective",
+            "regions": ["N", la],
+            "order": phasemap.transition_order("N", la),
+            "points": [[ma, blo], [ma, min(bhi, mb)]],
+        })
+    if blo <= mb <= bhi and alo < ma:
+        curves.append({
+            "kind": "normal-collective",
+            "regions": ["N", lb],
+            "order": phasemap.transition_order("N", lb),
+            "points": [[alo, mb], [min(ahi, ma), mb]],
+        })
+    if mb >= bhi:
+        return payload
+    scale = 0.5 if rwa else 1.0
+    fixed = np.linspace(max(blo, mb), bhi, max(resolution, 16))[1:]
+    curve = phasemap.collective_boundary(
+        system, pa, pb,
+        phasemap.BoundarySweep(
+            fixed_values=tuple(scale * v for v in fixed),
+            solve_range=(scale * max(alo, 1e-9), scale * ahi),
+        ),
+    )
+    if curve.points:
+        curves.append({
+            "kind": curve.kind,
+            "regions": [curve.label_a, curve.label_b],
+            "order": curve.order,
+            "points": [[a / scale, b / scale] for a, b in curve.points],
+            "zeta_max_discrepancy": curve.zeta_max_discrepancy,
+        })
+    return payload
 
 
 def cmd_phase_diagram(args) -> int:
@@ -250,9 +253,9 @@ def cmd_phase_diagram(args) -> int:
     config = {
         "system": system.to_dict(),
         "axes": [[list(p), list(r)] for p, r in axes],
-        "res": args.res, "rwa": args.rwa, "seed": args.seed,
+        "res": args.res, "rwa": args.rwa,
     }
-    meta = _meta("phase-diagram", config, args.seed)
+    meta = _meta("phase-diagram", config)
     _atomic_write(args.out, grid.to_csv(header_lines=_meta_lines(meta)))
     sidecar = str(Path(args.out).with_suffix("")) + ".separatrix.json"
     payload = {"meta": meta}
@@ -263,26 +266,24 @@ def cmd_phase_diagram(args) -> int:
 
 
 def _observable_rows(system: AtomicSystem, sweep_name: str,
-                     sweep_values: Sequence[float], couplings_at,
+                     sweep_values: Sequence[float],
+                     columns: Mapping[Pair, Sequence[float]],
                      rwa: bool = False) -> Tuple[List[str], List[List[str]]]:
-    points = [couplings_at(value) for value in sweep_values]
-    swept = sorted(points[0])
-    pairs = [p for p in swept if f"mu_{p[0]}_{p[1]}" != sweep_name]
+    """Header and rows of the observables CSV; columns maps each swept pair
+    to its couplings, one per sweep value."""
+    pairs = [p for p in sorted(columns) if f"mu_{p[0]}_{p[1]}" != sweep_name]
     header = ([sweep_name] + [f"mu_{j}_{k}" for j, k in pairs]
               + observables.csv_header(system.n) + ["discontinuity"])
-    columns = {p: [float(mu[p]) for mu in points] for p in swept}
     table = phasemap.sweep_observables(system, columns, rwa=rwa)
     rows = []
     previous_region = None
-    for value, mu, obs in zip(sweep_values, points, table):
+    for i, (value, obs) in enumerate(zip(sweep_values, table)):
         region = obs[0]
-        marker = 0
-        if previous_region is not None and region != previous_region:
-            if phasemap.transition_order(previous_region, region) == 1:
-                marker = 1
+        marker = int(previous_region is not None and region != previous_region
+                     and phasemap.transition_order(previous_region, region) == 1)
         previous_region = region
         rows.append([repr(float(value))]
-                    + [repr(float(mu[p])) for p in pairs]
+                    + [repr(float(columns[p][i])) for p in pairs]
                     + obs + [str(marker)])
     return header, rows
 
@@ -297,19 +298,11 @@ def cmd_observables(args) -> int:
         parts = args.zeta.split(",")
         if len(parts) != 2:
             raise CliError("--zeta needs two pairs, e.g. 1-2,2-3")
-        pa, pb = (_parse_pair(p) for p in parts)
-        for p in (pa, pb):
-            if p not in system.pairs:
-                raise CliError(f"unknown transition {p} in --zeta")
-        if pa == pb:
-            raise CliError(f"--zeta names transition {pa[0]}-{pa[1]} twice")
+        pa, pb = _pairs(parts, system, "--zeta")
         lo, hi = _parse_range(args.range[0]) if args.range else (0.0, math.pi / 2)
-        radius = args.mu
         values = np.linspace(lo, hi, args.res)
-
-        def couplings_at(z):
-            return {pa: radius * math.cos(z), pb: radius * math.sin(z)}
-
+        columns = {pa: [args.mu * math.cos(z) for z in values],
+                   pb: [args.mu * math.sin(z) for z in values]}
         sweep_name = "zeta"
     else:
         axes = _resolve_axes(args, system, minimum=1, maximum=1)
@@ -317,20 +310,16 @@ def cmd_observables(args) -> int:
             raise CliError("observables needs --axes or --zeta")
         (pair, (lo, hi)), = axes
         values = np.linspace(lo, hi, args.res)
-
-        def couplings_at(v):
-            return {pair: float(v)}
-
+        columns = {pair: [float(v) for v in values]}
         sweep_name = f"mu_{pair[0]}_{pair[1]}"
-    header, rows = _observable_rows(system, sweep_name, values,
-                                    couplings_at, rwa=args.rwa)
+    header, rows = _observable_rows(system, sweep_name, values, columns,
+                                    rwa=args.rwa)
     config = {
         "system": system.to_dict(), "sweep": sweep_name,
         "range": [float(values[0]), float(values[-1])],
         "res": args.res, "mu": args.mu, "rwa": args.rwa,
-        "seed": args.seed,
     }
-    meta = _meta("observables", config, args.seed)
+    meta = _meta("observables", config)
     lines = [f"# {line}" for line in _meta_lines(meta)]
     text = "\n".join(lines + [",".join(header)]
                      + [",".join(row) for row in rows]) + "\n"
@@ -342,21 +331,27 @@ def cmd_observables(args) -> int:
 def _exact_at(system: AtomicSystem, mu: Mapping[Pair, float], args,
               cutoffs: Optional[Dict[Pair, int]]):
     local = system.with_couplings(mu)
+    na = local.atom_count
     # the rotating-wave ground state holds the full model's photons at half
     # coupling, so its cutoffs are suggested from there
     cut = cutoffs or quantum.suggest_cutoffs(
-        symmetries.rwa_rescale(local) if args.rwa else local, args.na)
+        symmetries.rwa_rescale(local) if args.rwa else local, na)
     if args.tol is not None:
-        return quantum.converge_cutoff(local, args.na, cut, args.tol,
+        return quantum.converge_cutoff(local, na, cut, args.tol,
                                        rwa=args.rwa, budget=args.budget)[1]
-    return quantum.ground_state(local, args.na, cut, rwa=args.rwa,
+    return quantum.ground_state(local, na, cut, rwa=args.rwa,
                                 budget=args.budget)
 
 
 def _exact_inputs(args) -> Tuple[AtomicSystem, list,
                                   Optional[Dict[Pair, int]], Dict]:
-    """System, axes, cutoffs and run configuration of `exact`/`compare`."""
-    system = require_valid(_load_system(args.system))
+    """System, axes, cutoffs and run configuration of `exact`/`compare`.
+
+    --na, when given, replaces the system file's atom_count."""
+    system = _load_system(args.system)
+    if args.na is not None:
+        system = dataclasses.replace(system, atom_count=args.na)
+    require_valid(system)
     axes = _resolve_axes(args, system, minimum=1, maximum=3)
     if axes and args.res < 2:
         raise CliError("--res must be at least 2 for scans")
@@ -364,9 +359,9 @@ def _exact_inputs(args) -> Tuple[AtomicSystem, list,
     config = {
         "system": system.to_dict(),
         "axes": [[list(p), list(r)] for p, r in axes],
-        "res": args.res if axes else 1, "na": args.na, "rwa": args.rwa,
+        "res": args.res if axes else 1, "rwa": args.rwa,
         "cutoffs": {f"{j}_{k}": c for (j, k), c in (cutoffs or {}).items()},
-        "tol": args.tol, "seed": args.seed, "budget": args.budget,
+        "tol": args.tol, "budget": args.budget,
     }
     return system, axes, cutoffs, config
 
@@ -381,7 +376,7 @@ def cmd_exact(args) -> int:
         if not result.converged:
             rec["warning"] = "truncation boundary weight above threshold"
         points.append(rec)
-    meta = _meta("exact", config, args.seed)
+    meta = _meta("exact", config)
     _atomic_write(args.out, _json_text({"meta": meta, "points": points}))
     print(f"wrote {args.out}")
     return 0
@@ -435,7 +430,7 @@ def cmd_compare(args) -> int:
             sum(1 for a in scored if a) / len(scored) if scored else None
         ),
     }
-    meta = _meta("compare", config, args.seed)
+    meta = _meta("compare", config)
     _atomic_write(args.out, _json_text(
         {"meta": meta, "points": points, "summary": summary}))
     print(f"wrote {args.out}")
@@ -460,8 +455,15 @@ def _away_from_label_changes(labels: np.ndarray, margin: int) -> np.ndarray:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError, so that `main` returns exit code 1."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polydicke",
         description="Ground-state phase diagrams of multi-level atoms "
                     "coupled to multiple radiation modes",
@@ -469,13 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, res=None):
-        """--system and --seed; with a default resolution res, also the
-        output file and the scanned axes."""
+        """--system; with a default resolution res, also the output file
+        and the scanned axes."""
         p.add_argument("--system", required=True,
                        help="JSON system file (n, omega, transitions, atom_count)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the output metadata and config "
-                            "hash; no result depends on it")
         if res is None:
             return
         p.add_argument("--out", required=True, help="output file path")
@@ -510,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
              "variational vs exact energies over a grid")):
         p = sub.add_parser(name, help=text)
         common(p, res=10)
-        p.add_argument("--na", type=int, default=1, help="number of atoms")
+        p.add_argument("--na", type=int, help="number of atoms (default: "
+                       "the system file's atom_count)")
         p.add_argument("--cutoff", action="append",
                        help="photon cutoff, shared (30) or per pair (1-2=30)")
         p.add_argument("--tol", type=float, default=None,
@@ -529,8 +529,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

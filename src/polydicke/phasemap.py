@@ -281,7 +281,6 @@ class PhaseGrid:
     axis_values: Tuple[Tuple[float, ...], ...]
     labels: np.ndarray       # shape = resolutions, dtype=object (str tags)
     energies: np.ndarray     # same shape, float64
-    rwa: bool = False
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -362,7 +361,7 @@ def scan_grid(system: AtomicSystem,
     tags = np.array(["N"] + [str(RegionLabel(p)) for p in base.pairs],
                     dtype=object)
     return PhaseGrid(axes=tuple(pairs), axis_values=values, labels=tags[best],
-                     energies=energies, rwa=rwa)
+                     energies=energies)
 
 
 def sweep_observables(system: AtomicSystem,

@@ -43,9 +43,6 @@ class ExcitationWeights:
 
     lam: Tuple[int, ...]
 
-    def for_level(self, level: int) -> int:
-        return self.lam[level - 1]
-
 
 def excitation_weights(system: AtomicSystem) -> ExcitationWeights:
     """Propagate lam_1 = 0 through the transition graph.

@@ -107,7 +107,7 @@ class StateRecipe:
     field_amplitude: float
 
 
-def _rho_full(system: AtomicSystem, rho: np.ndarray) -> np.ndarray:
+def _rho_full(rho: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0], rho))
 
 
@@ -140,7 +140,7 @@ def energy_surface_full(system: AtomicSystem, field: FieldAmplitudes,
     missing = [p for p in pairs if p not in field.r or p not in field.theta]
     if missing:
         raise ValueError(f"field amplitudes missing for transitions {missing}")
-    rho_full = _rho_full(system, rho)
+    rho_full = _rho_full(rho)
     phi_full = np.concatenate(([0.0], matter.phi_vector(system.n)))
     denom = 1.0 + float(rho @ rho)
     energy = float(np.dot(system.omega[1:], rho * rho)) / denom
@@ -169,7 +169,7 @@ def photon_stationary_r(system: AtomicSystem,
     """
     require_valid(system)
     rho = _as_rho_vector(system, matter)
-    rho_full = _rho_full(system, rho)
+    rho_full = _rho_full(rho)
     denom = 1.0 + float(rho @ rho)
     return {
         p: 2.0 * system.transition(p).mu
@@ -193,7 +193,7 @@ def reduced_energy(system: AtomicSystem,
 
 
 def _reduced_energy_raw(system: AtomicSystem, rho: np.ndarray) -> float:
-    rho_full = _rho_full(system, rho)
+    rho_full = _rho_full(rho)
     denom = 1.0 + float(rho @ rho)
     energy = float(np.dot(system.omega[1:], rho * rho)) / denom
     for t in system.transitions:
@@ -218,7 +218,7 @@ def gradient(system: AtomicSystem,
 
 
 def _gradient_raw(system: AtomicSystem, rho: np.ndarray) -> np.ndarray:
-    rho_full = _rho_full(system, rho)
+    rho_full = _rho_full(rho)
     denom = 1.0 + float(rho @ rho)
     omega = np.asarray(system.omega[1:])
     diag = float(omega @ (rho * rho))

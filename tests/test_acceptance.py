@@ -372,26 +372,46 @@ def test_criterion_10_deterministic_outputs(tmp_path):
     try:
         system_path = tmp_path / "system.json"
         system_path.write_text(json.dumps(_xi(1.0, 1.0).to_dict()))
+        system = ["--system", str(system_path)]
         runs = {
-            "grid": ["phase-diagram", "--system", str(system_path),
+            "grid": ["phase-diagram", *system,
                      "--axes", "1-2", "--axes", "2-3", "--range", "0:2",
-                     "--res", "7", "--seed", "3"],
-            "exact": ["exact", "--system", str(system_path), "--na", "1",
-                      "--cutoff", "12", "--seed", "3"],
-            "compare": ["compare", "--system", str(system_path),
+                     "--res", "7"],
+            "sweep": ["observables", *system, "--axes", "2-3",
+                      "--range", "0:2", "--res", "41"],
+            "polar": ["observables", *system, "--zeta", "1-2,2-3",
+                      "--mu", "1.2", "--res", "41"],
+            "exact": ["exact", *system, "--na", "1", "--cutoff", "12"],
+            "compare": ["compare", *system,
                         "--axes", "1-2", "--range", "0.2:1.4", "--res", "3",
-                        "--na", "1", "--cutoff", "14", "--seed", "3"],
+                        "--na", "1", "--cutoff", "14"],
         }
+        meta = ["tool", "version", "command", "config_sha256"]
         for name, args in runs.items():
-            suffix = ".csv" if name == "grid" else ".json"
+            suffix = ".json" if args[0] in ("exact", "compare") else ".csv"
             first = tmp_path / f"{name}_first{suffix}"
             second = tmp_path / f"{name}_second{suffix}"
             assert cli_main(args + ["--out", str(first)]) == 0
             assert cli_main(args + ["--out", str(second)]) == 0
-            assert first.read_bytes() == second.read_bytes(), name
-            text = first.read_text()
-            assert "NaN" not in text and "Infinity" not in text
+            outputs = [(first, second)]
+            if name == "grid":
+                outputs.append(tuple(
+                    tmp_path / f"{name}_{run}.separatrix.json"
+                    for run in ("first", "second")))
+            for a, b in outputs:
+                assert a.read_bytes() == b.read_bytes(), a.name
+                text = a.read_text()
+                assert "NaN" not in text and "Infinity" not in text
+                if a.suffix == ".csv":
+                    keys = [line[2:].split(":")[0]
+                            for line in text.splitlines()
+                            if line.startswith("#")]
+                    assert keys == meta, a.name
+                else:
+                    assert sorted(json.loads(text)["meta"]) == sorted(meta)
         ok = True
     finally:
-        _report(10, "repeated runs with fixed seeds produce byte-identical "
-                    "CSV/JSON; no non-finite values emitted", ok)
+        _report(10, "repeated runs with the same inputs produce "
+                    "byte-identical CSV/JSON (grid, sidecar, sweeps, exact, "
+                    "compare) with metadata tool/version/command/config hash; "
+                    "no non-finite values emitted", ok)

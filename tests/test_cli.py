@@ -94,6 +94,22 @@ def _observable_rows_reference(system, sweep_name, sweep_values,
     return rows
 
 
+def _columns(couplings_at, sweep_values):
+    """The coupling columns, pair -> one float per point, of a per-point
+    closure."""
+    points = [couplings_at(value) for value in sweep_values]
+    return {p: [float(mu[p]) for mu in points] for p in points[0]}
+
+
+def _meta_keys(path):
+    """The metadata keys of a CLI output: the `# key: value` lines of a CSV,
+    the `meta` object of a JSON file."""
+    if path.suffix == ".csv":
+        return [line[2:].split(":")[0] for line in path.read_text().splitlines()
+                if line.startswith("#")]
+    return sorted(json.loads(path.read_text())["meta"])
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     meta = [l for l in lines if l.startswith("#")]
@@ -296,8 +312,8 @@ class TestObservableRows:
             def along_axis(v):
                 return {pair: float(v)}
 
-            header, rows = cli._observable_rows(system, name, values,
-                                                along_axis, rwa=rwa)
+            header, rows = cli._observable_rows(
+                system, name, values, _columns(along_axis, values), rwa=rwa)
             assert header[0] == name and len(header) == len(rows[0])
             assert rows == _observable_rows_reference(system, name, values,
                                                       along_axis, rwa=rwa)
@@ -309,8 +325,8 @@ class TestObservableRows:
             def polar(z):
                 return {pa: radius * math.cos(z), pb: radius * math.sin(z)}
 
-            _, rows = cli._observable_rows(system, "zeta", values, polar,
-                                           rwa=rwa)
+            _, rows = cli._observable_rows(
+                system, "zeta", values, _columns(polar, values), rwa=rwa)
             assert rows == _observable_rows_reference(system, "zeta", values,
                                                       polar, rwa=rwa)
 
@@ -496,20 +512,53 @@ class TestExact:
         assert f"--cutoff {spec!r}: the cutoff must be an integer" in err
         assert not (tmp_path / "never.json").exists()
 
-    def test_points_do_not_depend_on_the_seed(self, system_file, tmp_path):
-        # converged cutoffs of 32-38 and 52 put whole sectors of over 300
-        # states on Lanczos, whose cold starts are all-ones, not seeded
-        args = ["exact", "--system", system_file(), "--na", "1",
-                "--axes", "1-2", "--range", "0.8:1.2", "--res", "2",
-                "--tol", "1e-6"]
-        points = []
-        for seed in ("1", "2"):
-            out = tmp_path / f"seed{seed}.json"
-            assert main(args + ["--seed", seed, "--out", str(out)]) == 0
-            payload = json.loads(out.read_text())
-            assert payload["meta"]["seed"] == int(seed)
-            points.append(payload["points"])
-        assert points[0] == points[1]
+    def test_atom_count_comes_from_the_system_file(self, system_file,
+                                                   tmp_path):
+        path = system_file(dict(CASCADE, atom_count=2), "two.json")
+        points = {}
+        for name, na in (("file", []), ("na2", ["--na", "2"]),
+                         ("na3", ["--na", "3"])):
+            out = tmp_path / f"{name}.json"
+            assert main(["exact", "--system", path, "--cutoff", "12",
+                         "--out", str(out)] + na) == 0
+            points[name] = json.loads(out.read_text())["points"]
+        assert points["file"] == points["na2"]
+        assert points["na3"] != points["na2"]
+        system = cascade_system([0.0, 1.0, 1.3], [1.0, 0.5], [1.0, 1.0])
+        for name, na in (("file", 2), ("na3", 3)):
+            want = quantum.ground_state(system, na, 12).energy
+            assert points[name][0]["energy_per_particle"] == want
+
+
+class TestUsageErrors:
+    """A bad command line is a configuration error: exit 1, no file."""
+
+    @pytest.mark.parametrize("command", ["validate", "phase-diagram",
+                                         "observables", "exact", "compare"])
+    def test_seed_is_rejected(self, system_file, tmp_path, capsys, command):
+        argv = [command, "--system", system_file()]
+        if command != "validate":
+            argv += ["--axes", "1-2", "--range", "0:1", "--res", "2",
+                     "--out", str(tmp_path / "out")]
+        if command in ("exact", "compare"):
+            argv += ["--cutoff", "4"]
+        assert main(argv + ["--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
+        # the same command line without the flag runs
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--res", "x", "--out", "out.json"],
+        [],
+    ], ids=["bad-res", "missing-out"])
+    def test_bad_argument_exits_1(self, system_file, tmp_path, capsys,
+                                  monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["exact", "--system", system_file(), "--cutoff", "4"]
+                    + argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
 
 
 class TestCompare:
@@ -659,21 +708,41 @@ class TestCompareScoring:
 
 
 class TestDeterminism:
-    def test_phase_diagram_byte_identical(self, system_file, tmp_path):
-        args = ["phase-diagram", "--system", system_file(), "--axes", "1-2",
-                "--axes", "2-3", "--range", "0:2", "--res", "7", "--seed", "5"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    META = ["tool", "version", "command", "config_sha256"]
+
+    def _twice(self, args, tmp_path, suffix):
+        """Run args to two files; return them."""
+        a, b = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
+        return a, b
+
+    def test_phase_diagram_byte_identical(self, system_file, tmp_path):
+        args = ["phase-diagram", "--system", system_file(), "--axes", "1-2",
+                "--axes", "2-3", "--range", "0:2", "--res", "7"]
+        a, b = self._twice(args, tmp_path, ".csv")
         assert a.read_bytes() == b.read_bytes()
+        assert _meta_keys(a) == self.META
+        sidecars = [tmp_path / f"{x}.separatrix.json" for x in "ab"]
+        assert sidecars[0].read_bytes() == sidecars[1].read_bytes()
+        assert _meta_keys(sidecars[0]) == sorted(self.META)
+
+    @pytest.mark.parametrize("sweep", [
+        ["--axes", "1-2", "--range", "0:2"],
+        ["--zeta", "2-3,1-2", "--mu", "1.3", "--rwa"],
+    ], ids=["axis", "zeta"])
+    def test_observables_byte_identical(self, system_file, tmp_path, sweep):
+        args = ["observables", "--system", system_file(), "--res", "31"]
+        a, b = self._twice(args + sweep, tmp_path, ".csv")
+        assert a.read_bytes() == b.read_bytes()
+        assert _meta_keys(a) == self.META
 
     def test_exact_byte_identical(self, system_file, tmp_path):
         args = ["exact", "--system", system_file(), "--na", "1",
-                "--cutoff", "12", "--seed", "7"]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
+                "--cutoff", "12"]
+        a, b = self._twice(args, tmp_path, ".json")
         assert a.read_bytes() == b.read_bytes()
+        assert _meta_keys(a) == sorted(self.META)
 
     def test_successive_calls_match_fresh_processes(self, system_file,
                                                     tmp_path):
