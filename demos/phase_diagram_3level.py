@@ -50,7 +50,8 @@ def describe(name, system):
     print(f"normal boundary against {lb}: mu* = {mu_b:.6f} "
           f"(order {transition_order('N', lb)})")
 
-    # boundary between the two collective regions: root-find the energy tie
+    # boundary between the two collective regions: the energy tie, solved
+    # for mu_a in closed form
     fixed = np.linspace(mu_b, 2.0, 12)[1:]
     curve = collective_boundary(
         system, pa, pb,

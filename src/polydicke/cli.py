@@ -189,7 +189,7 @@ def cmd_validate(args) -> int:
 
 def _separatrix_payload(system: AtomicSystem, axes, resolution: int,
                         rwa: bool) -> Dict:
-    """Boundary curves for the scanned plane (closed-form plus root-found).
+    """Boundary curves for the scanned plane, all in closed form.
 
     Under the rotating-wave flag every boundary sits at doubled coupling, so
     the curves are computed on the full model at halved couplings and mapped
@@ -228,7 +228,7 @@ def _separatrix_payload(system: AtomicSystem, axes, resolution: int,
         system, pa, pb,
         phasemap.BoundarySweep(
             fixed_values=tuple(scale * v for v in fixed),
-            solve_range=(scale * max(alo, 1e-9), scale * ahi),
+            solve_range=(scale * alo, scale * ahi),
         ),
     )
     if curve.points:
@@ -299,12 +299,18 @@ def cmd_observables(args) -> int:
         if len(parts) != 2:
             raise CliError("--zeta needs two pairs, e.g. 1-2,2-3")
         pa, pb = _pairs(parts, system, "--zeta")
+        if args.range and len(args.range) > 1:
+            raise CliError("--zeta takes a single --range")
         lo, hi = _parse_range(args.range[0]) if args.range else (0.0, math.pi / 2)
+        radius = 1.0 if args.mu is None else args.mu
         values = np.linspace(lo, hi, args.res)
-        columns = {pa: [args.mu * math.cos(z) for z in values],
-                   pb: [args.mu * math.sin(z) for z in values]}
+        columns = {pa: [radius * math.cos(z) for z in values],
+                   pb: [radius * math.sin(z) for z in values]}
         sweep_name = "zeta"
     else:
+        if args.mu is not None:
+            raise CliError("--mu is the radius of a --zeta sweep; an --axes "
+                           "sweep takes its other couplings from the system")
         axes = _resolve_axes(args, system, minimum=1, maximum=1)
         if not axes:
             raise CliError("observables needs --axes or --zeta")
@@ -317,8 +323,10 @@ def cmd_observables(args) -> int:
     config = {
         "system": system.to_dict(), "sweep": sweep_name,
         "range": [float(values[0]), float(values[-1])],
-        "res": args.res, "mu": args.mu, "rwa": args.rwa,
+        "res": args.res, "rwa": args.rwa,
     }
+    if args.zeta:
+        config["mu"] = radius
     meta = _meta("observables", config)
     lines = [f"# {line}" for line in _meta_lines(meta)]
     text = "\n".join(lines + [",".join(header)]
@@ -353,13 +361,16 @@ def _exact_inputs(args) -> Tuple[AtomicSystem, list,
         system = dataclasses.replace(system, atom_count=args.na)
     require_valid(system)
     axes = _resolve_axes(args, system, minimum=1, maximum=3)
-    if axes and args.res < 2:
+    if not axes and (args.range or args.res is not None):
+        raise CliError("--range and --res need --axes")
+    res = 10 if args.res is None else args.res
+    if axes and res < 2:
         raise CliError("--res must be at least 2 for scans")
     cutoffs = _resolve_cutoffs(args, system)
     config = {
         "system": system.to_dict(),
         "axes": [[list(p), list(r)] for p, r in axes],
-        "res": args.res if axes else 1, "rwa": args.rwa,
+        "res": res if axes else 1, "rwa": args.rwa,
         "cutoffs": {f"{j}_{k}": c for (j, k), c in (cutoffs or {}).items()},
         "tol": args.tol, "budget": args.budget,
     }
@@ -369,7 +380,7 @@ def _exact_inputs(args) -> Tuple[AtomicSystem, list,
 def cmd_exact(args) -> int:
     system, axes, cutoffs, config = _exact_inputs(args)
     points = []
-    for _, mu in _grid_points(axes, args.res):
+    for _, mu in _grid_points(axes, config["res"]):
         couplings = mu or {t.pair: t.mu for t in system.transitions}
         result = _exact_at(system, couplings, args, cutoffs)
         rec = result.to_json_dict(couplings=couplings)
@@ -384,13 +395,13 @@ def cmd_exact(args) -> int:
 
 def cmd_compare(args) -> int:
     system, axes, cutoffs, config = _exact_inputs(args)
-    shape = tuple(args.res for _ in axes) or (1,)
+    shape = tuple(config["res"] for _ in axes) or (1,)
     labels = np.empty(shape, dtype=object)
     agrees = np.empty(shape, dtype=object)
     points = []
     gaps = []
     two_modes = len(system.pairs) == 2
-    for index, mu in _grid_points(axes, args.res):
+    for index, mu in _grid_points(axes, config["res"]):
         couplings = mu or {t.pair: t.mu for t in system.transitions}
         local = system.with_couplings(couplings)
         if args.rwa:
@@ -470,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, res=None):
-        """--system; with a default resolution res, also the output file
-        and the scanned axes."""
+    def common(p, scans=True, res=None):
+        """--system; for a command that scans, also the output file, the
+        scanned axes and their resolution (default res)."""
         p.add_argument("--system", required=True,
                        help="JSON system file (n, omega, transitions, atom_count)")
-        if res is None:
+        if not scans:
             return
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--axes", action="append",
@@ -487,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "rotating-wave problem at these couplings")
 
     p = sub.add_parser("validate", help="check a system file")
-    common(p)
+    common(p, scans=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("phase-diagram",
@@ -499,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form observables along a coupling sweep")
     common(p, res=100)
     p.add_argument("--zeta", help="polar sweep over two pairs, e.g. 1-2,2-3")
-    p.add_argument("--mu", type=float, default=1.0,
-                   help="radius of the polar sweep")
+    p.add_argument("--mu", type=float,
+                   help="radius of the polar sweep (default 1)")
     p.set_defaults(func=cmd_observables)
 
     for name, func, text in (
@@ -508,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("compare", cmd_compare,
              "variational vs exact energies over a grid")):
         p = sub.add_parser(name, help=text)
-        common(p, res=10)
+        common(p)
         p.add_argument("--na", type=int, help="number of atoms (default: "
                        "the system file's atom_count)")
         p.add_argument("--cutoff", action="append",

@@ -4,11 +4,12 @@ The coupling plane splits into a normal region and one monochromatic
 collective region per mode.  Boundaries against the normal region are
 closed-form: a bifurcation (second order) when the condensate involves the
 ground level, a Maxwell set (first order) otherwise.  Boundaries between two
-collective regions are Maxwell sets located by bracketing bisection on the
-energy equality, one array bisection over all sampled points of a curve; an
-algebraic form of the same locus is evaluated alongside as a cross-check and
-the worst disagreement is recorded on the curve.  Grid scans and observable
-sweeps are array evaluations of the same closed forms.
+collective regions are Maxwell sets, where the two condensate energies are
+equal; one condensate energy falls strictly with its coupling, so the set is
+solved for that coupling in closed form over all sampled points of a curve.
+An independent algebraic form of the same locus is evaluated alongside as a
+cross-check and the worst disagreement is recorded on the curve.  Grid scans
+and observable sweeps are array evaluations of the same closed forms.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ import numpy as np
 from .model import AtomicSystem, Pair, require_valid
 from .symmetries import rwa_rescale
 from . import observables, variational
-
-BISECTION_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -106,8 +104,6 @@ class BoundarySweep:
 
     fixed_values: Tuple[float, ...]
     solve_range: Tuple[float, float]
-    scan_points: int = 64
-    tol: float = BISECTION_TOL
 
 
 @dataclass(frozen=True)
@@ -141,13 +137,13 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
                         sweep: BoundarySweep) -> SeparatrixCurve:
     """Locus of equal condensate energies E_a(mu_a) = E_b(mu_b).
 
-    For each sampled mu_b, mu_a is found by bracketing bisection inside the
-    first cell of a coarse sign scan over the solve range; samples where
-    both candidates never coexist with a sign change are skipped.  All
-    samples are bisected together as arrays, one condensate call per step,
-    each stopping once its bracket is at most tol wide (200 steps at most).
-    All such boundaries are Maxwell sets (order 1).  Returns an empty curve
-    with a message when no sample roots.
+    Where condensate a exists its energy omega_j - (4 mu^2 - B)^2/(16 Omega
+    mu^2) falls strictly with mu, so for each sampled mu_b the equation has
+    at most one root, mu_a = (s + sqrt(s^2 + B))/2 with s = sqrt(Omega
+    (omega_j - E_b)), evaluated as one array expression over the samples.
+    Samples without a finite positive root inside the solve range are
+    skipped.  All such boundaries are Maxwell sets (order 1).  Returns an
+    empty curve with a message when no sample roots.
     """
     require_valid(system)
     pair_a, pair_b = tuple(pair_a), tuple(pair_b)
@@ -156,36 +152,17 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
     label_a = str(RegionLabel(pair_a))
     label_b = str(RegionLabel(pair_b))
     lo, hi = sweep.solve_range
-    grid = np.linspace(lo, hi, sweep.scan_points)
+    t = system.transition(pair_a)
     fixed = np.asarray(sweep.fixed_values, dtype=float)
-    scan = variational.condensate(system, pair_a, grid).energy
-    targets = variational.condensate(system, pair_b, fixed).energy
-    # one row per sample; where a condensate is absent its energy is +inf,
-    # so the row's differences are not finite and bracket nothing
+    target = variational.condensate(system, pair_b, fixed).energy
+    b = (system.omega[t.k - 1] - system.omega[t.j - 1]) * t.Omega
+    # an absent condensate b has energy +inf and one above omega_j has no
+    # root: s is nan there.  hypot keeps s^2 from overflowing
     with np.errstate(invalid="ignore"):
-        vals = scan - targets[:, np.newaxis]
-    finite = np.isfinite(vals)
-    # first scan cell whose ends both exist and bracket (or hit) the root
-    hit = finite[:, :-1] & finite[:, 1:] & (
-        (vals[:, :-1] == 0.0) | ((vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0)))
-    rows = np.flatnonzero(hit.any(axis=1))
-    cell = np.argmax(hit[rows], axis=1) if rows.size else rows
-    target = targets[rows]
-    lo_mu, hi_mu = grid[cell], grid[cell + 1]
-    f_lo = vals[rows, cell]
-    exact = f_lo == 0.0
-    for _ in range(200):
-        open_ = hi_mu - lo_mu > sweep.tol
-        if not open_.any():
-            break
-        mid = 0.5 * (lo_mu + hi_mu)
-        f_mid = variational.condensate(system, pair_a, mid).energy - target
-        up = open_ & ((f_lo < 0.0) == (f_mid < 0.0))
-        lo_mu = np.where(up, mid, lo_mu)
-        f_lo = np.where(up, f_mid, f_lo)
-        hi_mu = np.where(open_ & ~up, mid, hi_mu)
-    roots = np.where(exact, grid[cell], 0.5 * (lo_mu + hi_mu))
-    points = tuple(zip(roots.tolist(), fixed[rows].tolist()))
+        s = np.sqrt(t.Omega * (system.omega[t.j - 1] - target))
+        mu_a = 0.5 * (s + np.hypot(s, math.sqrt(b)))
+    keep = np.isfinite(mu_a) & (mu_a > 0.0) & (mu_a >= lo) & (mu_a <= hi)
+    points = tuple(zip(mu_a[keep].tolist(), fixed[keep].tolist()))
     # per point, the matching algebraic root is the closer sign branch
     # (the other one lies outside the collective regime); record the worst
     # per-point disagreement over the curve

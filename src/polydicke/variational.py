@@ -189,20 +189,7 @@ def reduced_energy(system: AtomicSystem,
     """
     require_valid(system)
     rho = _as_rho_vector(system, matter)
-    return _reduced_energy_raw(system, rho)
-
-
-def _reduced_energy_raw(system: AtomicSystem, rho: np.ndarray) -> float:
-    rho_full = _rho_full(rho)
-    denom = 1.0 + float(rho @ rho)
-    energy = float(np.dot(system.omega[1:], rho * rho)) / denom
-    for t in system.transitions:
-        if t.mu == 0.0:
-            continue
-        energy -= (4.0 * t.mu * t.mu / t.Omega) * (
-            rho_full[t.j - 1] * rho_full[t.k - 1] / denom
-        ) ** 2
-    return energy
+    return _reduced_surface(system, rho)[0]
 
 
 def gradient(system: AtomicSystem,
@@ -214,14 +201,17 @@ def gradient(system: AtomicSystem,
     """
     require_valid(system)
     rho = _as_rho_vector(system, matter)
-    return _gradient_raw(system, rho)
+    return _reduced_surface(system, rho)[1]
 
 
-def _gradient_raw(system: AtomicSystem, rho: np.ndarray) -> np.ndarray:
+def _reduced_surface(system: AtomicSystem,
+                     rho: np.ndarray) -> Tuple[float, np.ndarray]:
+    """:func:`reduced_energy` and :func:`gradient` at radii rho, unvalidated."""
     rho_full = _rho_full(rho)
     denom = 1.0 + float(rho @ rho)
     omega = np.asarray(system.omega[1:])
     diag = float(omega @ (rho * rho))
+    energy = diag / denom
     bracket = omega - diag / denom
     cross_total = 0.0
     for t in system.transitions:
@@ -229,12 +219,13 @@ def _gradient_raw(system: AtomicSystem, rho: np.ndarray) -> np.ndarray:
             continue
         c = 4.0 * t.mu * t.mu / t.Omega
         pj, pk = rho_full[t.j - 1], rho_full[t.k - 1]
+        energy -= c * (pj * pk / denom) ** 2
         cross_total += c * (pj * pk) ** 2
         if t.j >= 2:
             bracket[t.j - 2] -= c * pk * pk / denom
         bracket[t.k - 2] -= c * pj * pj / denom
     bracket = bracket + 2.0 * cross_total / denom ** 2
-    return 2.0 * rho * bracket / denom
+    return energy, 2.0 * rho * bracket / denom
 
 
 class Condensate(NamedTuple):
@@ -340,9 +331,8 @@ def minimize_numeric(system: AtomicSystem, starts: int = 2,
 
     def objective(u):
         rho = np.tan(0.5 * math.pi * u)
-        e = _reduced_energy_raw(system, rho)
-        g = _gradient_raw(system, rho) * (0.5 * math.pi) * (1.0 + rho * rho)
-        return e, g
+        e, g = _reduced_surface(system, rho)
+        return e, g * (0.5 * math.pi) * (1.0 + rho * rho)
 
     start_list = [np.full(nv, 0.15)]
     for i in range(nv):

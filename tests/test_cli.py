@@ -548,6 +548,46 @@ class TestUsageErrors:
         # the same command line without the flag runs
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("command", ["exact", "compare"])
+    @pytest.mark.parametrize("unused", [["--range", "0:1"], ["--res", "10"]],
+                             ids=["range", "res"])
+    def test_scan_options_need_axes(self, system_file, tmp_path, capsys,
+                                    command, unused):
+        # without --axes one point is solved at the file's couplings
+        argv = [command, "--system", system_file(), "--cutoff", "4",
+                "--out", str(tmp_path / "out.json")]
+        assert main(argv + unused) == 1
+        assert "need --axes" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
+        assert main(argv) == 0
+
+    def test_zeta_takes_one_range(self, system_file, tmp_path, capsys):
+        argv = ["observables", "--system", system_file(), "--zeta", "1-2,2-3",
+                "--res", "5", "--out", str(tmp_path / "zeta.csv"),
+                "--range", "0:1"]
+        assert main(argv + ["--range", "0:0.5"]) == 1
+        assert "single --range" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
+        assert main(argv) == 0
+
+    def test_axis_sweep_takes_no_radius(self, system_file, tmp_path, capsys):
+        argv = ["observables", "--system", system_file(), "--axes", "1-2",
+                "--range", "0:1", "--res", "5",
+                "--out", str(tmp_path / "obs.csv")]
+        assert main(argv + ["--mu", "2"]) == 1
+        assert "--mu" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
+        assert main(argv) == 0
+        # the hashed configuration holds no radius for an axis sweep
+        text = (tmp_path / "obs.csv").read_text()
+        digest = next(line.split(": ")[1] for line in text.splitlines()
+                      if line.startswith("# config_sha256"))
+        system = cli._load_system(system_file())
+        assert digest == cli._meta("observables", {
+            "system": system.to_dict(), "sweep": "mu_1_2",
+            "range": [0.0, 1.0], "res": 5, "rwa": False,
+        })["config_sha256"]
+
     @pytest.mark.parametrize("argv", [
         ["--res", "x", "--out", "out.json"],
         [],

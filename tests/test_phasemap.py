@@ -1,6 +1,5 @@
 import csv
 import io
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from polydicke import (
     BoundarySweep,
     InvalidSystemError,
     RegionLabel,
-    SeparatrixCurve,
     collective_boundary,
     condensate,
     ehrenfest_probe,
@@ -23,7 +21,7 @@ from polydicke import (
     transition_order,
     vee_system,
 )
-from polydicke.phasemap import _zeta_boundary, sweep_observables
+from polydicke.phasemap import sweep_observables
 
 from conftest import random_system
 
@@ -80,12 +78,13 @@ def _bisect_reference(fn, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def _collective_boundary_reference(system, pair_a, pair_b, sweep):
-    """The per-sample scalar bisection that collective_boundary replaced."""
+def _bisection_roots(system, pair_a, pair_b, sweep, scan_points=64,
+                     tol=1e-10):
+    """mu_b -> mu_a found by a sign scan and a scalar bisection per sample,
+    the search that the closed form in collective_boundary replaced."""
     lo, hi = sweep.solve_range
-    points = []
-    worst_zeta = None
-    grid = np.linspace(lo, hi, sweep.scan_points)
+    roots = {}
+    grid = np.linspace(lo, hi, scan_points)
     scan = condensate(system, pair_a, grid).energy
     targets = condensate(system, pair_b, sweep.fixed_values).energy
     for mu_b, target in zip(sweep.fixed_values, targets.tolist()):
@@ -101,32 +100,36 @@ def _collective_boundary_reference(system, pair_a, pair_b, sweep):
         def diff(mu_a):
             return float(condensate(system, pair_a, mu_a).energy) - target
 
-        root = (float(grid[i]) if vals[i] == 0.0 else
-                _bisect_reference(diff, float(grid[i]), float(grid[i + 1]),
-                                  sweep.tol))
-        points.append((root, float(mu_b)))
-        dists = [abs(z - root)
-                 for z in _zeta_boundary(system, pair_a, pair_b, float(mu_b))
-                 if z is not None]
-        if dists:
-            d = min(dists)
-            worst_zeta = d if worst_zeta is None else max(worst_zeta, d)
-    message = "" if points else "no root: regions do not touch in the sweep range"
-    return SeparatrixCurve(
-        kind="collective-collective", label_a=str(RegionLabel(pair_a)),
-        label_b=str(RegionLabel(pair_b)), order=1, solve_pair=pair_a,
-        fixed_pair=pair_b, points=tuple(points),
-        zeta_max_discrepancy=worst_zeta, message=message,
-    )
+        roots[float(mu_b)] = (
+            float(grid[i]) if vals[i] == 0.0 else
+            _bisect_reference(diff, float(grid[i]), float(grid[i + 1]), tol))
+    return roots
 
 
-def _assert_same_curve(system, pair_a, pair_b, sweep):
-    """Array and scalar bisection give the same sidecar bytes."""
-    got = collective_boundary(system, pair_a, pair_b, sweep)
-    want = _collective_boundary_reference(system, pair_a, pair_b, sweep)
-    assert (json.dumps(got.to_json_dict())
-            == json.dumps(want.to_json_dict()))
-    return got
+def _assert_equal_energies(system, curve):
+    """Both condensate energies agree at every root, relative to the larger
+    of |E_b| and the top level (E_b near 0 cancels omega_j in E_a)."""
+    for mu_a, mu_b in curve.points:
+        e_a = float(condensate(system, curve.solve_pair, mu_a).energy)
+        e_b = float(condensate(system, curve.fixed_pair, mu_b).energy)
+        assert e_a == pytest.approx(e_b, rel=1e-12,
+                                    abs=1e-12 * system.omega[-1])
+
+
+def _assert_matches_bisection(system, pair_a, pair_b, sweep, **scan):
+    """Every root that the bisection finds is a closed-form root within
+    1e-9, and every closed-form root has equal condensate energies."""
+    curve = collective_boundary(system, pair_a, pair_b, sweep)
+    got = {b: a for a, b in curve.points}
+    for mu_b, root in _bisection_roots(system, pair_a, pair_b, sweep,
+                                       **scan).items():
+        assert got[mu_b] == pytest.approx(root, abs=1e-9)
+    _assert_equal_energies(system, curve)
+    if curve.points:
+        assert curve.zeta_max_discrepancy <= 1e-12
+    else:
+        assert "no root" in curve.message
+    return curve
 
 
 def cascade_path(system, pair, fixed):
@@ -200,6 +203,8 @@ class TestCollectiveBoundary:
 
 
 class TestArrayBisection:
+    """The closed-form separatrix against a scan-and-bisect search."""
+
     CONFIGS = ("xi", "vee", "lam", "cascade4")
 
     @pytest.mark.parametrize("config", CONFIGS)
@@ -221,9 +226,9 @@ class TestArrayBisection:
             ahi, bhi = rng.uniform(1.0, 3.0, 2)
             mb = normal_boundary(system, pb) / scale
             fixed = np.linspace(max(blo, mb), bhi, int(rng.integers(16, 60)))
-            curve = _assert_same_curve(system, pa, pb, BoundarySweep(
+            curve = _assert_matches_bisection(system, pa, pb, BoundarySweep(
                 fixed_values=tuple(scale * v for v in fixed[1:]),
-                solve_range=(scale * max(alo, 1e-9), scale * ahi)))
+                solve_range=(scale * alo, scale * ahi)))
             rooted += bool(curve.points)
         assert rooted >= 6
 
@@ -236,55 +241,64 @@ class TestArrayBisection:
             i, j = rng.choice(len(system.pairs), 2, replace=False)
             lo = float(rng.uniform(0.0, 1.0))
             hi = lo + float(rng.uniform(0.1, 4.0))
-            points = int(rng.integers(1, 80))
-            # with tol at a scan cell's width over 2**20, cells whose widths
-            # differ in the last bits close at different steps, so a sample
-            # that has finished must stay frozen while the others go on
-            grid = np.linspace(lo, hi, max(points, 2))
-            tol = float(rng.choice([1e-10, 1e-6, 1e-3, 0.0,
-                                    (grid[1] - grid[0]) / 2.0 ** 20]))
-            _assert_same_curve(
+            # a tol of 0 bisects until the bracket stops shrinking
+            _assert_matches_bisection(
                 system, system.pairs[i], system.pairs[j], BoundarySweep(
                     fixed_values=tuple(rng.uniform(0.0, 3.0, 25)),
-                    solve_range=(lo, hi), scan_points=points, tol=tol))
+                    solve_range=(lo, hi)),
+                scan_points=int(rng.integers(2, 80)),
+                tol=float(rng.choice([1e-10, 0.0])))
 
-    def test_bracket_stops_at_exactly_tol(self, xi):
-        # dyadic scan cells halve exactly: the brackets reach width 2**-10
-        # after 9 steps and stop there, not a step later
-        curve = _assert_same_curve(xi(), (1, 2), (2, 3), BoundarySweep(
-            fixed_values=(1.0, 1.5), solve_range=(0.5, 1.5), scan_points=3,
-            tol=2.0 ** -10))
-        for root, _ in curve.points:
-            assert (root * 2.0 ** 11) % 2.0 == 1.0
-
-    def test_step_cap_binds_on_a_tiny_root(self):
-        # both condensates exist from mu ~ 1e-100 and the root lies near
-        # 1.4e-75: closing a 1/63-wide bracket to the spacing of floats
-        # there takes about 295 halvings, so the 200-step cap decides it
+    def test_tiny_roots_are_exact(self):
+        # both condensates exist from mu ~ 1e-100 and the roots lie near
+        # 1e-75, where a bisection from a 1/63-wide scan cell stops after
+        # 200 halvings still about 1e-62 wide
         system = vee_system(1e-200, 2e-200, Omega12=2.0, Omega13=1.0)
-        curve = _assert_same_curve(system, (1, 2), (1, 3), BoundarySweep(
-            fixed_values=(1e-75, 3e-75), solve_range=(1e-100, 1.0), tol=0.0))
+        curve = collective_boundary(system, (1, 2), (1, 3), BoundarySweep(
+            fixed_values=(1e-75, 3e-75), solve_range=(1e-100, 1.0)))
         assert [b for _, b in curve.points] == [1e-75, 3e-75]
-        # the bracket is still (1/63) / 2**200 ~ 1e-62 wide when it stops
-        assert all(1e-65 < a < 1e-60 for a, _ in curve.points)
+        roots = [a for a, _ in curve.points]
+        assert roots == pytest.approx(
+            [1.414213562373095e-75, 4.242640687119285e-75], rel=1e-15)
+        for mu_a, mu_b in curve.points:
+            assert float(condensate(system, (1, 2), mu_a).energy) == (
+                pytest.approx(float(condensate(system, (1, 3), mu_b).energy),
+                              rel=1e-15))
 
-    def test_exact_scan_hit_is_the_root(self, xi):
-        # E_23 at this coupling equals E_12 at scan point 11 to the bit, so
-        # the root is that scan point and no bisection runs
-        sweep = BoundarySweep(fixed_values=(0.8166847849770655, 1.0),
-                              solve_range=(0.5, 2.0))
-        grid = np.linspace(0.5, 2.0, 64)
-        assert (condensate(xi(), (1, 2), grid[11]).energy
-                == condensate(xi(), (2, 3), 0.8166847849770655).energy)
-        curve = _assert_same_curve(xi(), (1, 2), (2, 3), sweep)
-        assert curve.points[0] == (float(grid[11]), 0.8166847849770655)
+    def test_root_next_to_the_triple_point(self, xi):
+        # just above the 2-3 threshold the 1-2 root sits barely above its
+        # own threshold 0.5, in the scan cell that straddles 0.5: the cell's
+        # lower end has no 1-2 condensate, so the scan finds no bracket
+        sweep = BoundarySweep(fixed_values=(MU_STAR_23 + 1e-5,),
+                              solve_range=(1e-9, 2.0))
+        assert _bisection_roots(xi(), (1, 2), (2, 3), sweep) == {}
+        curve = _assert_matches_bisection(xi(), (1, 2), (2, 3), sweep)
+        (root, _), = curve.points
+        assert root == pytest.approx(0.5027523936388418, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4))
+    def test_equal_energies_on_random_systems(self, seed, n):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n)
+        if len(system.pairs) < 2:
+            return
+        i, j = rng.choice(len(system.pairs), 2, replace=False)
+        lo = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        curve = collective_boundary(
+            system, system.pairs[i], system.pairs[j], BoundarySweep(
+                fixed_values=tuple(rng.uniform(0.0, 3.0, 25)),
+                solve_range=(lo, lo + float(rng.uniform(0.1, 4.0)))))
+        _assert_equal_energies(system, curve)
+        if curve.points:
+            assert curve.zeta_max_discrepancy <= 1e-12
 
     def test_no_sample_roots(self, xi):
         for sweep in (BoundarySweep((), (0.0, 2.0)),
-                      BoundarySweep((1.0, 2.0), (0.0, 2.0), scan_points=1),
                       BoundarySweep((math.nan, 0.1), (0.5, 2.0))):
-            curve = _assert_same_curve(xi(), (1, 2), (2, 3), sweep)
-            assert curve.points == () and "no root" in curve.message
+            curve = _assert_matches_bisection(xi(), (1, 2), (2, 3), sweep)
+            assert curve.points == ()
 
 
 class TestTransitionOrder:
