@@ -8,13 +8,11 @@ the two collective regions, and a full grid scan exported as CSV.
 import numpy as np
 
 from polydicke import (
-    BoundarySweep,
     candidates,
     cascade_system,
-    collective_boundary,
     lambda_system,
     minimize,
-    normal_boundary,
+    plane_boundaries,
     scan_grid,
     transition_order,
     vee_system,
@@ -42,29 +40,26 @@ def describe(name, system):
     print(f"ground state region: {best.region} with E = {best.energy:+.6f}")
 
     pa, pb = system.pairs
-    mu_a = normal_boundary(system, pa)
-    mu_b = normal_boundary(system, pb)
-    la, lb = f"S_{pa[0]}_{pa[1]}", f"S_{pb[0]}_{pb[1]}"
-    print(f"normal boundary against {la}: mu* = {mu_a:.6f} "
-          f"(order {transition_order('N', la)})")
-    print(f"normal boundary against {lb}: mu* = {mu_b:.6f} "
-          f"(order {transition_order('N', lb)})")
+    axes = [(pa, (0.0, 2.0)), (pb, (0.0, 2.0))]
+    normal, curves = plane_boundaries(system, axes, 100)
+    for pair, mu_star in normal.items():
+        label = f"S_{pair[0]}_{pair[1]}"
+        print(f"normal boundary against {label}: mu* = {mu_star:.6f} "
+              f"(order {transition_order('N', label)})")
 
     # boundary between the two collective regions: the energy tie, solved
-    # for mu_a in closed form
-    fixed = np.linspace(mu_b, 2.0, 12)[1:]
-    curve = collective_boundary(
-        system, pa, pb,
-        BoundarySweep(fixed_values=tuple(fixed), solve_range=(mu_a * 0.9, 6.0)),
-    )
-    print(f"{la} <-> {lb} Maxwell set, {len(curve.points)} samples "
-          f"(algebraic cross-check agrees to "
-          f"{curve.zeta_max_discrepancy:.2e}):")
-    for mu_solve, mu_fixed in curve.points[:4]:
-        print(f"  mu_{pb[0]}{pb[1]} = {mu_fixed:.3f} ->"
-              f" boundary at mu_{pa[0]}{pa[1]} = {mu_solve:.6f}")
+    # for mu_a in closed form at samples of mu_b
+    for curve in curves:
+        if curve.kind != "collective-collective":
+            continue
+        print(f"{curve.label_a} <-> {curve.label_b} Maxwell set, "
+              f"{len(curve.points)} samples (algebraic cross-check agrees "
+              f"to {curve.zeta_max_discrepancy:.2e} relative):")
+        for mu_solve, mu_fixed in curve.points[::25]:
+            print(f"  mu_{pb[0]}{pb[1]} = {mu_fixed:.3f} ->"
+                  f" boundary at mu_{pa[0]}{pa[1]} = {mu_solve:.6f}")
 
-    grid = scan_grid(system, [(pa, (0.0, 2.0)), (pb, (0.0, 2.0))], 100)
+    grid = scan_grid(system, axes, 100)
     labels, counts = np.unique(grid.labels, return_counts=True)
     shares = ", ".join(f"{l}: {c / grid.energies.size:.1%}"
                        for l, c in zip(labels, counts))

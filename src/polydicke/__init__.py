@@ -43,6 +43,7 @@ from .phasemap import (
     collective_boundary,
     ehrenfest_probe,
     normal_boundary,
+    plane_boundaries,
     scan_grid,
     transition_order,
 )

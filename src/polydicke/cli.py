@@ -136,10 +136,11 @@ def _resolve_axes(args, system: AtomicSystem,
 
 
 def _resolve_cutoffs(args, system: AtomicSystem) -> Optional[Dict[Pair, int]]:
+    """Cutoffs from the --cutoff specs: one per pair (1-2=30) and at most
+    one shared value (30), which must set some pair that has none."""
     if not args.cutoff:
         return None
-    out: Dict[Pair, int] = {}
-    shared: Optional[int] = None
+    texts, values, shared = [], [], []
     for spec in args.cutoff:
         pair_text, per_pair, value = spec.rpartition("=")
         try:
@@ -148,18 +149,20 @@ def _resolve_cutoffs(args, system: AtomicSystem) -> Optional[Dict[Pair, int]]:
             raise CliError(f"--cutoff {spec!r}: the cutoff must be an "
                            f"integer") from None
         if per_pair:
-            pair = _parse_pair(pair_text)
-            if pair not in system.pairs:
-                raise CliError(f"unknown transition in --cutoff {spec!r}")
-            out[pair] = cutoff
+            texts.append(pair_text)
+            values.append(cutoff)
         else:
-            shared = cutoff
-    if shared is not None:
-        for p in system.pairs:
-            out.setdefault(p, shared)
+            shared.append(cutoff)
+    out = dict(zip(_pairs(texts, system, "--cutoff"), values))
     missing = [p for p in system.pairs if p not in out]
-    if missing:
+    if len(shared) > 1:
+        raise CliError("a shared --cutoff is given twice")
+    if shared and not missing:
+        raise CliError(f"the shared --cutoff {shared[0]} sets no transition: "
+                       f"each has its own")
+    if missing and not shared:
         raise CliError(f"--cutoff missing for transitions {missing}")
+    out.update((p, shared[0]) for p in missing)
     return out
 
 
@@ -187,61 +190,6 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def _separatrix_payload(system: AtomicSystem, axes, resolution: int,
-                        rwa: bool) -> Dict:
-    """Boundary curves for the scanned plane, all in closed form.
-
-    Under the rotating-wave flag every boundary sits at doubled coupling, so
-    the curves are computed on the full model at halved couplings and mapped
-    back to the axis units of the scan.
-    """
-    curves = []
-    mu_star = {p: phasemap.normal_boundary(system, p) * (2.0 if rwa else 1.0)
-               for p, _ in axes}
-    payload = {"normal_boundaries": {f"{j}_{k}": m
-                                     for (j, k), m in mu_star.items()},
-               "curves": curves}
-    if len(axes) != 2:
-        return payload
-    (pa, (alo, ahi)), (pb, (blo, bhi)) = axes
-    ma, mb = mu_star[pa], mu_star[pb]
-    la, lb = variational.region_tag(pa), variational.region_tag(pb)
-    if alo <= ma <= ahi and blo < mb:
-        curves.append({
-            "kind": "normal-collective",
-            "regions": ["N", la],
-            "order": phasemap.transition_order("N", la),
-            "points": [[ma, blo], [ma, min(bhi, mb)]],
-        })
-    if blo <= mb <= bhi and alo < ma:
-        curves.append({
-            "kind": "normal-collective",
-            "regions": ["N", lb],
-            "order": phasemap.transition_order("N", lb),
-            "points": [[alo, mb], [min(ahi, ma), mb]],
-        })
-    if mb >= bhi:
-        return payload
-    scale = 0.5 if rwa else 1.0
-    fixed = np.linspace(max(blo, mb), bhi, max(resolution, 16))[1:]
-    curve = phasemap.collective_boundary(
-        system, pa, pb,
-        phasemap.BoundarySweep(
-            fixed_values=tuple(scale * v for v in fixed),
-            solve_range=(scale * alo, scale * ahi),
-        ),
-    )
-    if curve.points:
-        curves.append({
-            "kind": curve.kind,
-            "regions": [curve.label_a, curve.label_b],
-            "order": curve.order,
-            "points": [[a / scale, b / scale] for a, b in curve.points],
-            "zeta_max_discrepancy": curve.zeta_max_discrepancy,
-        })
-    return payload
-
-
 def cmd_phase_diagram(args) -> int:
     system = require_valid(_load_system(args.system))
     axes = _resolve_axes(args, system, minimum=1, maximum=3)
@@ -258,9 +206,13 @@ def cmd_phase_diagram(args) -> int:
     meta = _meta("phase-diagram", config)
     _atomic_write(args.out, grid.to_csv(header_lines=_meta_lines(meta)))
     sidecar = str(Path(args.out).with_suffix("")) + ".separatrix.json"
-    payload = {"meta": meta}
-    payload.update(_separatrix_payload(system, axes, args.res, args.rwa))
-    _atomic_write(sidecar, _json_text(payload))
+    normal, curves = phasemap.plane_boundaries(system, axes, args.res,
+                                               rwa=args.rwa)
+    _atomic_write(sidecar, _json_text({
+        "meta": meta,
+        "normal_boundaries": {f"{j}_{k}": m for (j, k), m in normal.items()},
+        "curves": [c.to_json_dict() for c in curves],
+    }))
     print(f"wrote {args.out} and {sidecar}")
     return 0
 

@@ -7,16 +7,19 @@ ground level, a Maxwell set (first order) otherwise.  Boundaries between two
 collective regions are Maxwell sets, where the two condensate energies are
 equal; one condensate energy falls strictly with its coupling, so the set is
 solved for that coupling in closed form over all sampled points of a curve.
-An independent algebraic form of the same locus is evaluated alongside as a
-cross-check and the worst disagreement is recorded on the curve.  Grid scans
-and observable sweeps are array evaluations of the same closed forms.
+An independent algebraic form of the same locus is evaluated alongside, as
+one array expression over the same points, and the worst relative
+disagreement |z - mu|/mu is recorded on the curve.  plane_boundaries lists
+a scanned plane's separatrices in the axis units of its grid scan.  Grid
+scans and observable sweeps are array evaluations of the same closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -69,33 +72,26 @@ def normal_boundary(system: AtomicSystem, pair: Pair) -> float:
 
 
 def _zeta_boundary(system: AtomicSystem, pair_solve: Pair, pair_other: Pair,
-                   mu_other: float) -> Tuple[Optional[float], Optional[float]]:
-    """Algebraic collective-collective boundary: candidate mu values (+/-)."""
+                   mu_other) -> np.ndarray:
+    """Algebraic collective-collective boundary at each mu_other > 0: an
+    array of shape (2, len(mu_other)) holding the mu root of the + and of
+    the - sign branch, NaN where a branch has no root."""
     ts = system.transition(pair_solve)
     to = system.transition(pair_other)
-    if mu_other <= 0.0:
-        return (None, None)
-    dwo = system.omega[to.k - 1] - system.omega[to.j - 1]
-    m2 = mu_other * mu_other
-
-    def zeta(i_level: int) -> float:
-        return (
-            16.0 * m2 * m2
-            + dwo * dwo * to.Omega * to.Omega
-            + 8.0 * m2 * to.Omega
-            * (2.0 * system.omega[i_level - 1]
-               - system.omega[to.k - 1] - system.omega[to.j - 1])
-        )
-
-    zj, zk = zeta(ts.j), zeta(ts.k)
-    if zj < 0.0 or zk < 0.0:
-        return (None, None)
+    w = system.omega
+    dwo = w[to.k - 1] - w[to.j - 1]
+    m2 = np.square(np.asarray(mu_other, dtype=float))
+    levels = np.array([[w[ts.j - 1]], [w[ts.k - 1]]])
+    zj, zk = (16.0 * m2 * m2 + dwo * dwo * to.Omega * to.Omega
+              + 8.0 * m2 * to.Omega
+              * (2.0 * levels - w[to.k - 1] - w[to.j - 1]))
     pref = ts.Omega / (8.0 * m2 * to.Omega)
-    roots = []
-    for sign in (+1.0, -1.0):
-        val = pref * (0.5 * (zj + zk) + sign * math.sqrt(zj * zk))
-        roots.append(math.sqrt(val / 4.0) if val > 0.0 else None)
-    return tuple(roots)
+    # a negative zeta has no root, so its NaN carries through; the cross
+    # term is sqrt(zj) * sqrt(zk), since zj * zk underflows at tiny couplings
+    with np.errstate(invalid="ignore"):
+        cross = np.sqrt(zj) * np.sqrt(zk)
+        val = pref * (0.5 * (zj + zk) + np.array([[1.0], [-1.0]]) * cross)
+        return np.where(val > 0.0, np.sqrt(val / 4.0), np.nan)
 
 
 @dataclass(frozen=True)
@@ -121,16 +117,17 @@ class SeparatrixCurve:
     message: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
+        """The sidecar's curve record; only a collective-collective curve
+        carries zeta_max_discrepancy."""
+        record = {
             "kind": self.kind,
             "regions": [self.label_a, self.label_b],
             "order": self.order,
-            "solve_pair": list(self.solve_pair) if self.solve_pair else None,
-            "fixed_pair": list(self.fixed_pair) if self.fixed_pair else None,
             "points": [list(p) for p in self.points],
-            "zeta_max_discrepancy": self.zeta_max_discrepancy,
-            "message": self.message,
         }
+        if self.kind == "collective-collective":
+            record["zeta_max_discrepancy"] = self.zeta_max_discrepancy
+        return record
 
 
 def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
@@ -162,18 +159,15 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
         s = np.sqrt(t.Omega * (system.omega[t.j - 1] - target))
         mu_a = 0.5 * (s + np.hypot(s, math.sqrt(b)))
     keep = np.isfinite(mu_a) & (mu_a > 0.0) & (mu_a >= lo) & (mu_a <= hi)
-    points = tuple(zip(mu_a[keep].tolist(), fixed[keep].tolist()))
-    # per point, the matching algebraic root is the closer sign branch
-    # (the other one lies outside the collective regime); record the worst
-    # per-point disagreement over the curve
-    worst_zeta = None
-    for root, mu_b in points:
-        dists = [abs(z - root)
-                 for z in _zeta_boundary(system, pair_a, pair_b, mu_b)
-                 if z is not None]
-        if dists:
-            d = min(dists)
-            worst_zeta = d if worst_zeta is None else max(worst_zeta, d)
+    mu_a, mu_b = mu_a[keep], fixed[keep]
+    points = tuple(zip(mu_a.tolist(), mu_b.tolist()))
+    # per point, the matching algebraic root is the closer sign branch (the
+    # other one lies outside the collective regime); record the worst
+    # relative disagreement over the curve
+    gap = np.fmin(*np.abs(_zeta_boundary(system, pair_a, pair_b, mu_b)
+                          - mu_a)) / mu_a
+    gap = gap[~np.isnan(gap)]
+    worst_zeta = float(gap.max()) if gap.size else None
     message = "" if points else "no root: regions do not touch in the sweep range"
     return SeparatrixCurve(
         kind="collective-collective", label_a=label_a, label_b=label_b,
@@ -197,6 +191,52 @@ def transition_order(label_a: Union[RegionLabel, str],
         pair = b.pair if a.is_normal else a.pair
         return 2 if pair[0] == 1 else 1
     return 1
+
+
+def plane_boundaries(system: AtomicSystem,
+                     axes: Sequence[Tuple[Pair, Tuple[float, float]]],
+                     resolution: int, rwa: bool = False
+                     ) -> Tuple[Dict[Pair, float], List[SeparatrixCurve]]:
+    """Normal boundaries of the scanned pairs and the separatrices of the
+    scanned plane, in the axis units of :func:`scan_grid` with the same axes
+    and rwa flag (under rwa every boundary sits at doubled coupling).
+
+    Returns (normal, curves): normal maps each axis pair to its
+    :func:`normal_boundary`.  With two axes, curves holds the
+    normal-collective segments that cross the plane and the
+    collective-collective curve, solved for the first axis at
+    max(resolution, 16) - 1 values of the second axis above its normal
+    boundary.  Every curve lists its points in axis order, with solve_pair
+    and fixed_pair the first and second axis.
+    """
+    scale = 0.5 if rwa else 1.0
+    normal = {p: normal_boundary(system, p) / scale for p, _ in axes}
+    curves: List[SeparatrixCurve] = []
+    if len(axes) != 2:
+        return normal, curves
+    (pa, (alo, ahi)), (pb, (blo, bhi)) = axes
+    ma, mb = normal[pa], normal[pb]
+
+    def segment(pair: Pair, points) -> SeparatrixCurve:
+        label = str(RegionLabel(pair))
+        return SeparatrixCurve(
+            kind="normal-collective", label_a="N", label_b=label,
+            order=transition_order("N", label), solve_pair=pa, fixed_pair=pb,
+            points=points)
+
+    if alo <= ma <= ahi and blo < mb:
+        curves.append(segment(pa, ((ma, blo), (ma, min(bhi, mb)))))
+    if blo <= mb <= bhi and alo < ma:
+        curves.append(segment(pb, ((alo, mb), (min(ahi, ma), mb))))
+    if mb < bhi:
+        fixed = np.linspace(max(blo, mb), bhi, max(resolution, 16))[1:]
+        curve = collective_boundary(system, pa, pb, BoundarySweep(
+            fixed_values=tuple(scale * fixed),
+            solve_range=(scale * alo, scale * ahi)))
+        if curve.points:
+            curves.append(replace(curve, points=tuple(
+                (a / scale, b / scale) for a, b in curve.points)))
+    return normal, curves
 
 
 def _one_sided_derivative(f: Callable[[float], float], t0: float, sign: int,

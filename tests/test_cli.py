@@ -9,8 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from polydicke import (cascade_system, condensate, minimize, rwa_rescale,
-                       suggest_cutoffs, transition_order)
+from polydicke import (cascade_system, condensate, minimize,
+                       plane_boundaries, rwa_rescale, suggest_cutoffs,
+                       transition_order)
 from polydicke import cli, quantum
 from polydicke.cli import main
 
@@ -199,6 +200,29 @@ class TestPhaseDiagram:
         ]) == 0
         _, _, rows = read_csv(out)
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("data, axes, rng, rwa", [
+        (CASCADE, ["1-2", "2-3"], "0:2", False),
+        (CASCADE, ["2-3", "1-2"], "0.3:2.5", True),
+        (CASCADE, ["2-3"], "0:2", True),
+        (CASCADE4, ["3-4", "1-2"], "0:2", False),
+    ], ids=["xi", "xi-swapped-rwa", "xi-one-axis-rwa", "cascade4"])
+    def test_sidecar_is_plane_boundaries(self, system_file, tmp_path, data,
+                                         axes, rng, rwa):
+        out = tmp_path / "grid.csv"
+        argv = ["phase-diagram", "--system", system_file(data), "--range",
+                rng, "--res", "23", "--out", str(out)]
+        argv += [a for x in axes for a in ("--axes", x)]
+        assert main(argv + (["--rwa"] if rwa else [])) == 0
+        payload = json.loads((tmp_path / "grid.separatrix.json").read_text())
+        system = cli._load_system(system_file(data))
+        pairs = [cli._parse_pair(x) for x in axes]
+        normal, curves = plane_boundaries(
+            system, [(p, cli._parse_range(rng)) for p in pairs], 23, rwa=rwa)
+        assert payload["normal_boundaries"] == {
+            f"{j}_{k}": m for (j, k), m in normal.items()}
+        assert payload["curves"] == [c.to_json_dict() for c in curves]
+        assert len(curves) == (3 if len(axes) == 2 else 0)
 
     def test_unknown_transition_is_config_error(self, system_file, tmp_path):
         code = main([
@@ -560,6 +584,24 @@ class TestUsageErrors:
         assert "need --axes" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("cutoffs, message", [
+        (["1-2=4", "1-2=6"], "transition 1-2 given twice in --cutoff"),
+        (["1-2=4", "1-2=6", "2-3=4"],
+         "transition 1-2 given twice in --cutoff"),
+        (["4", "6"], "a shared --cutoff is given twice"),
+        (["1-2=4", "2-3=4", "9"], "the shared --cutoff 9 sets no transition"),
+    ], ids=["pair-twice", "pair-twice-complete", "shared-twice",
+            "shared-unused"])
+    def test_cutoff_given_twice(self, system_file, tmp_path, capsys,
+                                cutoffs, message):
+        # before, the last value given won, or the shared one was dropped
+        argv = ["exact", "--system", system_file(),
+                "--out", str(tmp_path / "out.json")]
+        assert main(argv + [a for c in cutoffs
+                            for a in ("--cutoff", c)]) == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["system.json"]
 
     def test_zeta_takes_one_range(self, system_file, tmp_path, capsys):
         argv = ["observables", "--system", system_file(), "--zeta", "1-2,2-3",

@@ -16,12 +16,13 @@ from polydicke import (
     ehrenfest_probe,
     minimize,
     normal_boundary,
+    plane_boundaries,
     rwa_rescale,
     scan_grid,
     transition_order,
     vee_system,
 )
-from polydicke.phasemap import sweep_observables
+from polydicke.phasemap import _zeta_boundary, sweep_observables
 
 from conftest import random_system
 
@@ -106,12 +107,13 @@ def _bisection_roots(system, pair_a, pair_b, sweep, scan_points=64,
     return roots
 
 
-def _assert_equal_energies(system, curve):
-    """Both condensate energies agree at every root, relative to the larger
-    of |E_b| and the top level (E_b near 0 cancels omega_j in E_a)."""
+def _assert_equal_energies(system, curve, scale=1.0):
+    """Both condensate energies agree at every root, taken at scale times
+    its couplings, relative to the larger of |E_b| and the top level (E_b
+    near 0 cancels omega_j in E_a)."""
     for mu_a, mu_b in curve.points:
-        e_a = float(condensate(system, curve.solve_pair, mu_a).energy)
-        e_b = float(condensate(system, curve.fixed_pair, mu_b).energy)
+        e_a = float(condensate(system, curve.solve_pair, scale * mu_a).energy)
+        e_b = float(condensate(system, curve.fixed_pair, scale * mu_b).energy)
         assert e_a == pytest.approx(e_b, rel=1e-12,
                                     abs=1e-12 * system.omega[-1])
 
@@ -264,6 +266,13 @@ class TestArrayBisection:
             assert float(condensate(system, (1, 2), mu_a).energy) == (
                 pytest.approx(float(condensate(system, (1, 3), mu_b).energy),
                               rel=1e-15))
+        # the algebraic cross-check agrees: there zj * zk = 2.6e-598
+        # underflows to 0, so its cross term is sqrt(zj) * sqrt(zk); with
+        # the product its root read 1e-75
+        assert curve.zeta_max_discrepancy <= 1e-15
+        plus, minus = _zeta_boundary(system, (1, 2), (1, 3), [1e-75])
+        assert plus[0] == pytest.approx(math.sqrt(2.0) * 1e-75, rel=1e-15)
+        assert math.isnan(minus[0])
 
     def test_root_next_to_the_triple_point(self, xi):
         # just above the 2-3 threshold the 1-2 root sits barely above its
@@ -299,6 +308,45 @@ class TestArrayBisection:
                       BoundarySweep((math.nan, 0.1), (0.5, 2.0))):
             curve = _assert_matches_bisection(xi(), (1, 2), (2, 3), sweep)
             assert curve.points == ()
+
+
+class TestPlaneBoundaries:
+    """Every curve of a scanned plane lies on the separatrix it names."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 4),
+           res=st.integers(2, 60), rwa=st.booleans())
+    def test_curves_on_random_planes(self, seed, n, res, rwa):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n)
+        if len(system.pairs) < 2:
+            return
+        axes = []
+        for m in rng.choice(len(system.pairs), 2, replace=False):
+            lo = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+            axes.append((system.pairs[m],
+                         (lo, lo + float(rng.uniform(0.1, 4.0)))))
+        pairs = [p for p, _ in axes]
+        # under rwa every boundary sits at doubled coupling
+        scale = 2.0 if rwa else 1.0
+        normal, curves = plane_boundaries(system, axes, res, rwa=rwa)
+        assert normal == {p: scale * normal_boundary(system, p)
+                          for p in pairs}
+        for curve in curves:
+            assert [curve.solve_pair, curve.fixed_pair] == pairs
+            if curve.kind == "normal-collective":
+                pair = RegionLabel.parse(curve.label_b).pair
+                at = pairs.index(pair)
+                assert curve.label_a == "N"
+                assert curve.order == transition_order("N", curve.label_b)
+                assert len(curve.points) == 2
+                assert all(p[at] == normal[pair] for p in curve.points)
+            else:
+                assert curve.kind == "collective-collective"
+                assert curve.points
+                _assert_equal_energies(system, curve, scale=1.0 / scale)
+                assert curve.zeta_max_discrepancy <= 1e-12
 
 
 class TestTransitionOrder:
