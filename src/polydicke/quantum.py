@@ -29,8 +29,9 @@ its sector is skipped.  The rest are solved by size:
   solves, in stacks no larger than one dense block at the threshold, and
   only the winning blocks get an eigenvector solve; a block alone in its
   stacks gets one LAPACK lowest-eigenpair solve instead;
-* larger blocks go through `eigsh`, a plain two-pass Lanczos for the lowest
-  eigenpair that keeps no Krylov basis and returns its Ritz vector's
+* larger blocks go through `eigsh`, a plain Lanczos for the lowest
+  eigenpair that keeps its Krylov basis up to a fixed memory cap, replays
+  the recurrence for any vectors past it, and returns its Ritz vector's
   Rayleigh quotient.
 
 The default threshold of 300 states sits at the measured crossover: on ξ
@@ -86,6 +87,9 @@ DEFAULT_BASIS_BUDGET = 2_000_000
 # two convergence checks
 _LANCZOS_STEPS = 5000
 _CHECK_EVERY = 8
+# memory for the Lanczos vectors eigsh keeps to sum its Ritz vector; the
+# vectors past it are recomputed (at the 2 M basis budget it holds four)
+_KRYLOV_BYTES = 64 * 2 ** 20
 # suggest_cutoffs: the floor, the standard deviations above the mean and
 # the fixed margin of a starting cutoff
 _CUTOFF_MINIMUM = 6
@@ -212,13 +216,22 @@ def _cutoff(pair: Pair, value) -> int:
     return int(value)
 
 
+def _positive(name: str, value) -> int:
+    """value as the count called name: a Python or NumPy integer >= 1,
+    bools excluded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
 def build_basis(system: AtomicSystem, atom_count: int,
                 cutoffs: Union[int, Mapping[Pair, int]],
                 budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedBasis:
     """Enumerate the truncated basis, refusing sizes above the budget."""
     require_valid(system)
-    if atom_count < 1:
-        raise ValueError(f"atom_count must be at least 1, got {atom_count}")
+    atom_count = _positive("atom_count", atom_count)
     pairs = system.pairs
     if isinstance(cutoffs, Mapping):
         missing = [p for p in pairs if p not in cutoffs]
@@ -499,23 +512,39 @@ def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     The three-term recurrence runs from v0 with no reorthogonalization and
     no restart; every few steps the lowest Ritz pair (theta, s) of the
     tridiagonal is taken, and the solve stops once the residual estimate
-    |beta_j s_j| falls to 1e-14 max(1, |theta|).  A second pass replays the
-    recurrence from the stored coefficients and sums the Ritz vector, so no
-    Krylov basis is kept.  Returns the unit Ritz vector x and its Rayleigh
-    quotient x @ (H @ x), which unlike theta never falls below the block's
-    lowest eigenvalue once the recurrence has lost orthogonality (a solve
-    of one step returns its start, whose quotient is alpha_0); raises a
-    RuntimeError after _LANCZOS_STEPS steps.
+    |beta_j s_j| falls to 1e-14 max(1, |theta|).  The Ritz vector is summed
+    from the Lanczos vectors of that pass, kept up to _KRYLOV_BYTES of
+    memory; past that cap, the recurrence is replayed from the last two
+    kept vectors with the stored coefficients.  A replayed vector repeats
+    the pass's operations in the same order, so results do not depend on
+    the cap, and a solve of k > 1 steps makes k + 1 sparse products when
+    every vector fits, 2k when none but the start does.  Returns the unit
+    Ritz vector x and its Rayleigh quotient x @ (H @ x), which unlike theta
+    never falls below the block's lowest eigenvalue once the recurrence has
+    lost orthogonality (a solve of one step returns its start, whose
+    quotient is alpha_0); raises a RuntimeError after _LANCZOS_STEPS steps.
 
     The start must overlap the lowest eigenvector.  A random start does, and
     so does any nonnegative one on a connected block whose off-diagonal
-    elements are <= 0, as every block of a validated system is.
+    elements are <= 0, as every block of a validated system is.  A start of
+    the wrong shape, or whose norm is zero or not finite (so also one with
+    a NaN or infinite entry), raises a ValueError.
     """
     n = H.shape[0]
+    if np.shape(v0) != (n,):
+        raise ValueError(f"Lanczos start v0 must hold one value per state of "
+                         f"the block of {n} states, got shape "
+                         f"{np.shape(v0)}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v0)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"Lanczos start v0 must have a finite nonzero norm, "
+                         f"got {norm}")
     alpha: List[float] = []
     beta: List[float] = []
-    start = v0 / np.linalg.norm(v0)
-    q, q_prev = start, np.zeros(n)
+    keep = _KRYLOV_BYTES // (8 * n)
+    krylov = [v0 / norm]
+    q, q_prev = krylov[0], np.zeros(n)
     for j in range(_LANCZOS_STEPS):
         w = H @ q
         alpha.append(float(q @ w))
@@ -530,12 +559,17 @@ def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
             if abs(beta[j] * s[-1, 0]) <= 1e-14 * max(1.0, abs(theta[0])):
                 break
         q_prev, q = q, w / beta[j]
+        if len(krylov) < keep:
+            krylov.append(q)
     else:
         raise RuntimeError(f"Lanczos did not converge in {_LANCZOS_STEPS} "
                            f"steps on a block of {n} states")
-    q, q_prev = start, np.zeros(n)
-    x = s[0, 0] * q
-    for j in range(len(alpha) - 1):
+    x = s[0, 0] * krylov[0]
+    for j in range(1, len(krylov)):
+        x += s[j, 0] * krylov[j]
+    # the vectors past the cap, replayed bit for bit from the last two kept
+    q, q_prev = krylov[-1], (krylov[-2] if len(krylov) > 1 else np.zeros(n))
+    for j in range(len(krylov) - 1, len(alpha) - 1):
         w = H @ q
         w -= alpha[j] * q
         w -= (beta[j - 1] if j else 0.0) * q_prev
@@ -929,9 +963,11 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
     solve's sector vectors (see `ground_state`).  Raises BudgetError when
     the basis budget or the doubling budget runs out; the latter's message
     lists every step's cutoffs, energy per particle and boundary weight.
+    max_doublings must be an integer >= 1, and tol finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _positive("max_doublings", max_doublings)
     require_valid(system)
 
     def step(r: QuantumGroundResult) -> str:
@@ -963,6 +999,7 @@ def suggest_cutoffs(system: AtomicSystem,
     margin of eight, floored at six.
     """
     require_valid(system)
+    atom_count = _positive("atom_count", atom_count)
     mean = {p: 0.0 for p in system.pairs}
     for cand in _variational_candidates(system):
         if cand.exists and cand.pair is not None:

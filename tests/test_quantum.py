@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -96,12 +97,21 @@ class TestBasis:
         assert all(type(c) is int for c in shared.cutoffs.values())
         assert shared.to_json_dict()["cutoffs"] == {"1_2": 4, "2_3": 4}
 
-    @pytest.mark.parametrize("atoms", [0, -2])
-    def test_rejects_fewer_than_one_atom(self, xi, atoms):
-        with pytest.raises(ValueError, match=f"atom_count .*{atoms}"):
-            build_basis(xi(), atoms, 4)
-        with pytest.raises(ValueError, match=f"atom_count .*{atoms}"):
-            ground_state(xi(), atoms, 4)
+    @pytest.mark.parametrize("atoms", [0, -1, -2, 1.5, True, np.True_, "2",
+                                       None])
+    def test_atom_count_must_be_an_integer_from_one(self, xi, atoms,
+                                                    component_searches):
+        # one check for every entry point: suggest_cutoffs used to return
+        # cutoffs for 0 and 1.5 atoms and to fail with a math domain error
+        # at -1, and ground_state solved one atom for True
+        message = f"atom_count must be .*, got {re.escape(repr(atoms))}"
+        for call in (lambda: build_basis(xi(), atoms, 4),
+                     lambda: suggest_cutoffs(xi(), atoms),
+                     lambda: ground_state(xi(), atoms, 4),
+                     lambda: converge_cutoff(xi(), atoms, 4, tol=1e-6)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert component_searches == []
 
 
 class TestHamiltonian:
@@ -350,6 +360,17 @@ class TestConvergeCutoff:
             step = ground_state(xi(2.0, 2.0), 1, cut)
             assert f"cutoffs {step.cutoffs}: energy {step.energy:.12g}" in str(
                 err.value)
+
+    @pytest.mark.parametrize("doublings", [0, -1, 1.5, True, None])
+    def test_max_doublings_must_be_an_integer_from_one(self, xi, doublings,
+                                                       component_searches):
+        # -1 used to end in a BudgetError "after -1 doublings", and 0 in one
+        # that no tolerance could avoid
+        with pytest.raises(ValueError, match="max_doublings must be .*, got "
+                                             + re.escape(repr(doublings))):
+            converge_cutoff(xi(0.0, 0.0), 1, 2, tol=1e-6,
+                            max_doublings=doublings)
+        assert component_searches == []
 
     def test_rejects_nonpositive_tol(self, xi):
         with pytest.raises(ValueError):
@@ -900,6 +921,77 @@ class TestLanczos:
         assert counted.products == 1
         assert energy == pytest.approx(want, abs=1e-14)
         assert np.array_equal(vec, v0 / np.linalg.norm(v0))
+
+    @pytest.mark.parametrize("start", ["zero", "nan", "inf", "overflow",
+                                       "short", "long", "column"])
+    def test_bad_start_is_rejected(self, start):
+        # an all-zero start used to warn and then fail inside LAPACK
+        n = 6
+        H = _Counted(_sparse_block(2, n, mixed=False))
+        v0 = {"zero": np.zeros(n), "nan": np.r_[np.ones(n - 1), np.nan],
+              "inf": np.r_[np.ones(n - 1), -np.inf],
+              "overflow": np.full(n, 1e200),
+              "short": np.ones(n - 1), "long": np.ones(n + 1),
+              "column": np.ones((n, 1))}[start]
+        with pytest.raises(ValueError, match="Lanczos start v0"):
+            quantum.eigsh(H, v0=v0)
+        assert H.products == 0
+
+    @staticmethod
+    def _kept_and_replayed(H, v0, cap_vectors=0):
+        """eigsh with the default cap and with room for cap_vectors Lanczos
+        vectors: both results and both product counts."""
+        kept, replayed = _Counted(H), _Counted(H)
+        want = quantum.eigsh(kept, v0=v0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(quantum, "_KRYLOV_BYTES",
+                                8 * H.shape[0] * cap_vectors)
+            got = quantum.eigsh(replayed, v0=v0)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        return kept.products, replayed.products
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400),
+           mixed=st.booleans(), cap=st.integers(0, 6))
+    def test_replayed_vectors_are_bit_identical(self, seed, n, mixed, cap):
+        H = _sparse_block(seed, n, mixed)
+        v0 = np.random.default_rng(seed + 1).standard_normal(n)
+        kept, replayed = self._kept_and_replayed(H, v0, cap)
+        # k > 1 steps with every vector kept make k + 1 products; the
+        # replay recomputes every vector past the first max(1, cap), so all
+        # but the start at cap 0: 2k products
+        steps = kept - 1
+        if steps > 1:
+            assert replayed == kept + steps - max(1, min(cap, steps))
+
+    def test_replay_on_a_xi_sector_block(self, xi, monkeypatch):
+        # blocks above 8 states go through Lanczos, the doubled solves from
+        # the coarse vectors
+        config = SolverConfig(dense_threshold=8)
+        system = xi(0.9, 0.6, atom_count=2)
+        solved = []
+        eigsh = quantum.eigsh
+
+        def recording(H, v0):
+            solved.append((H, v0))
+            return eigsh(H, v0=v0)
+
+        monkeypatch.setattr(quantum, "eigsh", recording)
+        cut, want = converge_cutoff(system, 2, 4, tol=1e-6, config=config)
+        monkeypatch.setattr(quantum, "eigsh", eigsh)
+        assert solved and max(H.shape[0] for H, _ in solved) > 100
+        for H, v0 in solved:
+            kept, replayed = self._kept_and_replayed(H, v0)
+            assert replayed == 2 * (kept - 1) or kept == 1
+        monkeypatch.setattr(quantum, "_KRYLOV_BYTES", 0)
+        cut_replayed, got = converge_cutoff(system, 2, 4, tol=1e-6,
+                                            config=config)
+        assert cut_replayed == cut
+        assert got == want
+        assert np.array_equal(got.sector_vectors.vector,
+                              want.sector_vectors.vector)
 
     def test_energy_never_below_the_dense_minimum(self):
         # a cold solve long enough to lose orthogonality: theta of the
