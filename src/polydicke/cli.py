@@ -227,16 +227,16 @@ def _observable_rows(system: AtomicSystem, sweep_name: str,
     header = ([sweep_name] + [f"mu_{j}_{k}" for j, k in pairs]
               + observables.csv_header(system.n) + ["discontinuity"])
     table = phasemap.sweep_observables(system, columns, rwa=rwa)
+    text = observables._float_reprs([sweep_values]
+                                    + [columns[p] for p in pairs]).T.tolist()
     rows = []
     previous_region = None
-    for i, (value, obs) in enumerate(zip(sweep_values, table)):
+    for floats, obs in zip(text, table):
         region = obs[0]
         marker = int(previous_region is not None and region != previous_region
                      and phasemap.transition_order(previous_region, region) == 1)
         previous_region = region
-        rows.append([repr(float(value))]
-                    + [repr(float(columns[p][i])) for p in pairs]
-                    + obs + [str(marker)])
+        rows.append(floats + obs + [str(marker)])
     return header, rows
 
 

@@ -73,6 +73,23 @@ def csv_header(n: int) -> List[str]:
             + ["coh", "var_pop"])
 
 
+def _float_reprs(values) -> np.ndarray:
+    """repr of every element of a float array, as an object array of its
+    shape.
+
+    Each distinct float64 bit pattern is formatted once, so 0.0 and -0.0
+    keep their own text.  The CSV writers pass whole columns: a scan's
+    energies and observables depend only on the winning condensate's
+    coupling, so they hold few distinct values.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.ravel().view(np.int64),
+                              return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
 class PairObservables(NamedTuple):
     """Observables of one pair's condensate, elementwise over its coupling."""
 
@@ -139,7 +156,8 @@ def sweep_rows(system: AtomicSystem,
     other pairs keep the system's.  Each point's ground state is
     :func:`variational.minimize_array`'s, and each pair's columns come from
     one :func:`condensate_observables` call over the points it wins.  The
-    caller validates the couplings.
+    numeric columns are formatted together by :func:`_float_reprs`, once
+    per distinct value.  The caller validates the couplings.
     """
     size = len(next(iter(mu.values())))
     best, _ = minimize_array(system, mu, (size,))
@@ -164,9 +182,9 @@ def sweep_rows(system: AtomicSystem,
         tag[on] = f"{j}-{k}"
         nu[on], coh[on], var[on] = (obs.nu[active], obs.coh[active],
                                     obs.var_pop[active])
-    columns = ([region.tolist(), tag.tolist()]
-               + [list(map(repr, c.tolist())) for c in (nu, *pop, coh, var)])
-    return [list(row) for row in zip(*columns)]
+    text = _float_reprs(np.vstack((nu, pop, coh, var)))
+    return [list(row) for row in zip(region.tolist(), tag.tolist(),
+                                     *text.tolist())]
 
 
 def photon_distribution(system: AtomicSystem, candidate: VariationalCandidate,

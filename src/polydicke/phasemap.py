@@ -310,15 +310,17 @@ class PhaseGrid:
         """CSV text: one row per cell, columns mu_j_k ..., region, energy.
 
         Fields are float reprs and region tags, none of which needs CSV
-        quoting, so rows are plain comma joins.
+        quoting, so rows are plain comma joins.  Each axis and the energy
+        column are formatted by :func:`observables._float_reprs`, once per
+        distinct value: a cell's energy is its winning condensate's, which
+        depends on that condensate's coupling alone, so a grid of 1e4 cells
+        holds only about 1e2 distinct energies.
         """
         cells = np.indices(self.shape).reshape(len(self.shape), -1)
-        columns = [
-            np.array(list(map(repr, values)), dtype=object)[at].tolist()
-            for values, at in zip(self.axis_values, cells)
-        ]
+        columns = [observables._float_reprs(values)[at].tolist()
+                   for values, at in zip(self.axis_values, cells)]
         columns.append(self.labels.ravel().tolist())
-        columns.append(list(map(repr, self.energies.ravel().tolist())))
+        columns.append(observables._float_reprs(self.energies).ravel().tolist())
         header = [f"mu_{p[0]}_{p[1]}" for p in self.axes] + ["region", "energy"]
         lines = [f"# {line}" for line in header_lines] + [",".join(header)]
         lines.extend(map(",".join, zip(*columns)))

@@ -354,6 +354,50 @@ class TestObservableRows:
             assert rows == _observable_rows_reference(system, "zeta", values,
                                                       polar, rwa=rwa)
 
+    # a condensate's energy depends on its own coupling only, so one axis
+    # crosses one boundary: N -> S_1_2 (second order) along mu_1_2, then
+    # S_1_2 -> S_2_3 (first order) along mu_2_3
+    @pytest.mark.parametrize("fixed, pair, regions, markers", [
+        ({(2, 3): 0.3}, (1, 2), ["N", "S_1_2"], ["0"]),
+        ({(1, 2): 0.6}, (2, 3), ["S_1_2", "S_2_3"], ["0", "1"]),
+    ])
+    def test_axis_sweep_across_each_boundary(self, xi, fixed, pair, regions,
+                                             markers):
+        system = xi(**{f"mu{j}{k}": v for (j, k), v in fixed.items()})
+        values = np.linspace(0.0, 2.0, 161)
+        name = f"mu_{pair[0]}_{pair[1]}"
+
+        def along_axis(v):
+            return {pair: float(v)}
+
+        header, rows = cli._observable_rows(system, name, values,
+                                            _columns(along_axis, values))
+        assert rows == _observable_rows_reference(system, name, values,
+                                                  along_axis)
+        seen = [r[header.index("region")] for r in rows]
+        assert sorted(set(seen), key=seen.index) == regions
+        assert sorted({r[-1] for r in rows}) == markers
+
+    def test_rwa_zeta_sweep_through_a_normal_stretch(self, xi):
+        # at radius 1.6 the halved couplings leave S_1_2 for N near
+        # zeta = 0.90 and reach S_2_3 near 1.24: about a fifth of the points
+        # repeat every observable column
+        system = xi()
+        values = np.linspace(0.0, math.pi / 2, 250)
+
+        def polar(z):
+            return {(1, 2): 1.6 * math.cos(z), (2, 3): 1.6 * math.sin(z)}
+
+        header, rows = cli._observable_rows(
+            system, "zeta", values, _columns(polar, values), rwa=True)
+        assert rows == _observable_rows_reference(system, "zeta", values,
+                                                  polar, rwa=True)
+        start = header.index("region")
+        seen = [r[start] for r in rows]
+        assert sorted(set(seen), key=seen.index) == ["S_1_2", "N", "S_2_3"]
+        normal = {tuple(r[start:-1]) for r in rows if r[start] == "N"}
+        assert len(normal) == 1 and seen.count("N") > 40
+
     def test_photon_number_squares_as_python_floats(self, system_file,
                                                     tmp_path):
         # at this coupling (Omega_12 = 1) Python's float power and a NumPy

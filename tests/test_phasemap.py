@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polydicke import (
     BoundarySweep,
     InvalidSystemError,
+    PhaseGrid,
     RegionLabel,
     collective_boundary,
     condensate,
@@ -517,6 +518,42 @@ def _grid_case(seed, n, count, res):
         lo = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         axes.append((system.pairs[m], (lo, lo + float(rng.uniform(0.1, 4.0)))))
     return system, axes, res
+
+
+class TestCsvWriter:
+    """to_csv formats each distinct float once; its text is the per-cell
+    writer's."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(case=st.builds(_grid_case, st.integers(0, 2 ** 32 - 1),
+                          st.integers(3, 4), st.integers(1, 3),
+                          st.integers(2, 30)),
+           rwa=st.booleans())
+    def test_matches_per_cell_writer(self, case, rwa):
+        system, axes, res = case
+        grid = scan_grid(system, axes, res, rwa=rwa)
+        header = ["rwa: " + str(rwa)]
+        assert grid.to_csv(header_lines=header) == _csv_per_cell(grid, header)
+
+    def test_signed_zeros_and_subnormals_keep_their_text(self):
+        # formatting by float value instead of bit pattern would merge the
+        # two zeros, and -0.25 stands under two region labels
+        grid = PhaseGrid(
+            axes=((1, 2),), axis_values=((-0.0, 0.0, 5e-324, 1.0, 2.0),),
+            labels=np.array(["N", "N", "S_1_2", "S_1_2", "S_2_3"],
+                            dtype=object),
+            energies=np.array([0.0, -0.0, 5e-324, -0.25, -0.25]))
+        text = grid.to_csv()
+        assert text == _csv_per_cell(grid)
+        assert text.splitlines() == [
+            "mu_1_2,region,energy",
+            "-0.0,N,0.0",
+            "0.0,N,-0.0",
+            "5e-324,S_1_2,5e-324",
+            "1.0,S_1_2,-0.25",
+            "2.0,S_2_3,-0.25",
+        ]
 
 
 class TestRotatingWaveAtHalfCoupling:
