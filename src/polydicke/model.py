@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Tuple
 
+import numpy as np
+
 Pair = Tuple[int, int]
 
 
@@ -205,6 +207,16 @@ def require_valid(system: AtomicSystem) -> AtomicSystem:
     if not report.ok:
         raise InvalidSystemError("; ".join(report.violations))
     return system
+
+
+def require_count(name: str, value) -> int:
+    """value as the count called name: a Python or NumPy integer >= 1,
+    bools excluded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
 
 
 def cascade_system(omega: Sequence[float], Omega: Sequence[float],

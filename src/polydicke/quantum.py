@@ -78,7 +78,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import AtomicSystem, Pair, require_valid
+from .model import AtomicSystem, Pair, require_count, require_valid
 from .symmetries import WeightError, excitation_weights
 from .variational import candidates as _variational_candidates
 
@@ -216,22 +216,12 @@ def _cutoff(pair: Pair, value) -> int:
     return int(value)
 
 
-def _positive(name: str, value) -> int:
-    """value as the count called name: a Python or NumPy integer >= 1,
-    bools excluded."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return int(value)
-
-
 def build_basis(system: AtomicSystem, atom_count: int,
                 cutoffs: Union[int, Mapping[Pair, int]],
                 budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedBasis:
     """Enumerate the truncated basis, refusing sizes above the budget."""
     require_valid(system)
-    atom_count = _positive("atom_count", atom_count)
+    atom_count = require_count("atom_count", atom_count)
     pairs = system.pairs
     if isinstance(cutoffs, Mapping):
         missing = [p for p in pairs if p not in cutoffs]
@@ -967,7 +957,7 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    _positive("max_doublings", max_doublings)
+    require_count("max_doublings", max_doublings)
     require_valid(system)
 
     def step(r: QuantumGroundResult) -> str:
@@ -999,7 +989,7 @@ def suggest_cutoffs(system: AtomicSystem,
     margin of eight, floored at six.
     """
     require_valid(system)
-    atom_count = _positive("atom_count", atom_count)
+    atom_count = require_count("atom_count", atom_count)
     mean = {p: 0.0 for p in system.pairs}
     for cand in _variational_candidates(system):
         if cand.exists and cand.pair is not None:

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydicke import (
     AtomicSystem,
@@ -18,6 +24,8 @@ from polydicke import (
     reduced_energy,
     variational_state_params,
 )
+from polydicke import variational
+
 from conftest import random_system
 
 RHO_C_12 = math.sqrt(3.0 / 5.0)          # cascade benchmark, mu12 = 1
@@ -26,6 +34,26 @@ R_C_12 = 0.9682458365518543              # 2 * mu * rho / (Omega (1 + rho^2))
 ETA_C_23 = math.sqrt(3.85 / 4.15)        # cascade benchmark, mu23 = 1
 E_23 = -0.8528125
 R_C_23 = 4.0 * ETA_C_23 / (1.0 + ETA_C_23 ** 2)   # 2 mu eta/(Omega (1+eta^2))
+
+
+def _without_mode_loops(system):
+    """The system with each mode that would close a loop of coupled levels
+    dropped, in pair order."""
+    root = list(range(system.n + 1))
+
+    def find(level):
+        while root[level] != level:
+            level = root[level]
+        return level
+
+    kept = []
+    for t in system.transitions:
+        a, b = find(t.j), find(t.k)
+        if a != b:
+            root[a] = b
+            kept.append(t)
+    return AtomicSystem(n=system.n, omega=system.omega,
+                        transitions=tuple(kept))
 
 
 def zero_matter(n):
@@ -376,8 +404,98 @@ class TestNumericOracle:
         assert rho[1] / rho[0] == pytest.approx(ETA_C_23, abs=1e-3)
 
     def test_rejects_bad_start_count(self, xi):
-        with pytest.raises(ValueError):
-            minimize_numeric(xi(), starts=0)
+        for starts in (0, -1, 2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="starts"):
+                minimize_numeric(xi(), starts=starts)
+        assert minimize_numeric(xi(), starts=np.int64(1)).energy == (
+            pytest.approx(E_23, abs=1e-6))
+
+    def test_rejects_bad_rho_cap(self, xi):
+        # rho_cap = 0 used to return energy 0 here, where the minimum is E_23
+        for rho_cap in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e80):
+            with pytest.raises(ValueError, match="rho_cap"):
+                minimize_numeric(xi(1.0, 1.0), rho_cap=rho_cap)
+
+    def test_extreme_rho_caps_stay_finite(self, xi):
+        # caps whose square underflows, and the largest cap accepted
+        for rho_cap in (5e-324, 1e-200, 1e75):
+            result = minimize_numeric(xi(1.0, 1.0), rho_cap=rho_cap)
+            rho = result.matter.rho_vector(3)
+            assert math.isfinite(result.energy)
+            assert np.all((rho >= 0.0) & (rho <= rho_cap))
+        assert minimize_numeric(xi(1.0, 1.0), rho_cap=1e75).energy == (
+            pytest.approx(E_23, abs=1e-12))
+
+    def test_loads_no_scipy_optimize(self):
+        # the package imports no scipy.optimize, and _scipy_minimize still
+        # resolves to scipy's minimize for code that wraps that name
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = ("import sys, polydicke.cli; "
+                  "from polydicke import variational; "
+                  "assert 'scipy.optimize' not in sys.modules; "
+                  "import scipy.optimize; "
+                  "assert variational._scipy_minimize is scipy.optimize.minimize")
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(src)))
+
+    def test_no_stopped_start_raises(self, xi, monkeypatch):
+        monkeypatch.setattr(variational, "_SIMPLEX_ITERATIONS", 1)
+        with pytest.raises(RuntimeError, match="no start stopped"):
+            minimize_numeric(xi(1.0, 1.0))
+
+    # the benchmark's configurations (the xi, lam and cascade4 fixtures) at
+    # couplings where a local solver in u = (2/pi) atan(rho) stopped short on
+    # the infinite-radius branch, by 1.1e-6 to 2.9e-4
+    @pytest.mark.parametrize("make, mu", [
+        ("lam", (0.17807086152106555, 0.7524911204329234)),
+        ("xi", (0.14471599889579667, 0.7997070387035685)),
+        ("xi", (0.06457929695478759, 0.7604311555783687)),
+        ("cascade4", (0.9205875004302957, 0.9363464548027265,
+                      0.8401110633667304)),
+        ("cascade4", (0.7525468835341875, 1.0326814481871038,
+                      0.5222460512785729)),
+    ], ids=["lam-a", "xi-a", "xi-b", "cascade4-a", "cascade4-b"])
+    def test_infinite_radius_branch_reaches_the_closed_form(self, request,
+                                                            make, mu):
+        system = request.getfixturevalue(make)(*mu)
+        closed = minimize(system)
+        assert closed.kind == variational.KIND_HIGH
+        numeric = minimize_numeric(system, starts=2, seed=0)
+        assert abs(numeric.energy - closed.energy) <= 1e-6
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4))
+    def test_random_systems(self, seed, n):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n)
+
+        # the reduced surface is a quadratic on the simplex
+        for u in rng.uniform(0.0, 0.999, (8, n - 1)):
+            rho = np.tan(0.5 * math.pi * u)
+            x = np.concatenate(([1.0], rho * rho)) / (1.0 + rho @ rho)
+            quadratic = float(np.dot(system.omega, x)) - sum(
+                4.0 * t.mu * t.mu / t.Omega * x[t.j - 1] * x[t.k - 1]
+                for t in system.transitions)
+            assert abs(quadratic - reduced_energy(system, rho)) <= 1e-13
+
+        closed = minimize(system).energy
+        numeric = minimize_numeric(system, starts=2, seed=seed % 7)
+        rho = numeric.matter.rho_vector(n)
+        assert np.all((rho >= 0.0) & (rho <= 1e4))
+        assert abs(numeric.energy - reduced_energy(system, rho)) <= 1e-12
+        # the closed-form minimum is a value (or limit) of the surface, so
+        # the oracle never lies above it
+        assert numeric.energy <= closed + 1e-6
+        again = minimize_numeric(system, starts=2, seed=seed % 7)
+        assert again.energy == numeric.energy
+        assert np.array_equal(again.matter.rho_vector(n), rho)
+
+        # the closed forms are the global minimum when the modes form no
+        # loop; with a loop, a mixture of three levels can lie lower
+        tree = _without_mode_loops(system)
+        closed = minimize(tree).energy
+        numeric = minimize_numeric(tree, starts=2, seed=0).energy
+        assert closed - 1e-12 <= numeric <= closed + 1e-6
 
     def test_four_level_oracle_grid(self, cascade4):
         grid = np.linspace(0.0, 2.0, 10)
