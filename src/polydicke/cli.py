@@ -51,9 +51,14 @@ def _parse_pair(text: str) -> Pair:
 def _parse_range(text: str) -> Tuple[float, float]:
     try:
         lo, hi = text.split(":")
-        return (float(lo), float(hi))
+        lo, hi = float(lo), float(hi)
     except ValueError:
         raise CliError(f"cannot parse range {text!r}; expected lo:hi") from None
+    # an infinite bound would reach np.linspace, which warns before the
+    # couplings are validated
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"range {text!r} needs finite bounds")
+    return (lo, hi)
 
 
 def _load_system(path: str) -> AtomicSystem:

@@ -209,11 +209,17 @@ def require_valid(system: AtomicSystem) -> AtomicSystem:
     return system
 
 
-def require_count(name: str, value) -> int:
-    """value as the count called name: a Python or NumPy integer >= 1,
-    bools excluded."""
+def require_integer(name: str, value) -> int:
+    """value as the integer called name: a Python or NumPy integer, bools
+    excluded."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_count(name: str, value) -> int:
+    """value as the count called name: a :func:`require_integer` >= 1."""
+    value = require_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     return int(value)

@@ -16,6 +16,7 @@ scans and observable sweeps are array evaluations of the same closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
@@ -117,10 +118,12 @@ class SeparatrixCurve:
     message: str = ""
 
     def to_json_dict(self) -> dict:
-        """The sidecar's curve record; only a collective-collective curve
+        """The sidecar's curve record: its plane as the solve and fixed axes,
+        regions, order and points; only a collective-collective curve
         carries zeta_max_discrepancy."""
         record = {
             "kind": self.kind,
+            "axes": [f"{j}_{k}" for j, k in (self.solve_pair, self.fixed_pair)],
             "regions": [self.label_a, self.label_b],
             "order": self.order,
             "points": [list(p) for p in self.points],
@@ -197,45 +200,44 @@ def plane_boundaries(system: AtomicSystem,
                      axes: Sequence[Tuple[Pair, Tuple[float, float]]],
                      resolution: int, rwa: bool = False
                      ) -> Tuple[Dict[Pair, float], List[SeparatrixCurve]]:
-    """Normal boundaries of the scanned pairs and the separatrices of the
+    """Normal boundaries of the scanned pairs and the separatrices of each
     scanned plane, in the axis units of :func:`scan_grid` with the same axes
     and rwa flag (under rwa every boundary sits at doubled coupling).
 
     Returns (normal, curves): normal maps each axis pair to its
-    :func:`normal_boundary`.  With two axes, curves holds the
-    normal-collective segments that cross the plane and the
-    collective-collective curve, solved for the first axis at
-    max(resolution, 16) - 1 values of the second axis above its normal
-    boundary.  Every curve lists its points in axis order, with solve_pair
-    and fixed_pair the first and second axis.
+    :func:`normal_boundary`.  Each pair of axes, in axis order, spans a
+    plane; curves holds, plane by plane, the normal-collective segments
+    that cross it and its collective-collective curve, solved for the
+    plane's first axis at max(resolution, 16) - 1 values of its second
+    axis above that axis's normal boundary.  Every curve lists its points
+    in the plane's axis order, with solve_pair and fixed_pair the plane's
+    first and second axis.
     """
     scale = 0.5 if rwa else 1.0
     normal = {p: normal_boundary(system, p) / scale for p, _ in axes}
     curves: List[SeparatrixCurve] = []
-    if len(axes) != 2:
-        return normal, curves
-    (pa, (alo, ahi)), (pb, (blo, bhi)) = axes
-    ma, mb = normal[pa], normal[pb]
+    for (pa, (alo, ahi)), (pb, (blo, bhi)) in itertools.combinations(axes, 2):
+        ma, mb = normal[pa], normal[pb]
 
-    def segment(pair: Pair, points) -> SeparatrixCurve:
-        label = str(RegionLabel(pair))
-        return SeparatrixCurve(
-            kind="normal-collective", label_a="N", label_b=label,
-            order=transition_order("N", label), solve_pair=pa, fixed_pair=pb,
-            points=points)
+        def segment(pair: Pair, points) -> SeparatrixCurve:
+            label = str(RegionLabel(pair))
+            return SeparatrixCurve(
+                kind="normal-collective", label_a="N", label_b=label,
+                order=transition_order("N", label), solve_pair=pa,
+                fixed_pair=pb, points=points)
 
-    if alo <= ma <= ahi and blo < mb:
-        curves.append(segment(pa, ((ma, blo), (ma, min(bhi, mb)))))
-    if blo <= mb <= bhi and alo < ma:
-        curves.append(segment(pb, ((alo, mb), (min(ahi, ma), mb))))
-    if mb < bhi:
-        fixed = np.linspace(max(blo, mb), bhi, max(resolution, 16))[1:]
-        curve = collective_boundary(system, pa, pb, BoundarySweep(
-            fixed_values=tuple(scale * fixed),
-            solve_range=(scale * alo, scale * ahi)))
-        if curve.points:
-            curves.append(replace(curve, points=tuple(
-                (a / scale, b / scale) for a, b in curve.points)))
+        if alo <= ma <= ahi and blo < mb:
+            curves.append(segment(pa, ((ma, blo), (ma, min(bhi, mb)))))
+        if blo <= mb <= bhi and alo < ma:
+            curves.append(segment(pb, ((alo, mb), (min(ahi, ma), mb))))
+        if mb < bhi:
+            fixed = np.linspace(max(blo, mb), bhi, max(resolution, 16))[1:]
+            curve = collective_boundary(system, pa, pb, BoundarySweep(
+                fixed_values=tuple(scale * fixed),
+                solve_range=(scale * alo, scale * ahi)))
+            if curve.points:
+                curves.append(replace(curve, points=tuple(
+                    (a / scale, b / scale) for a, b in curve.points)))
     return normal, curves
 
 
@@ -368,6 +370,11 @@ def scan_grid(system: AtomicSystem,
            else tuple(resolution))
     if len(res) != len(axes) or any(r < 1 for r in res):
         raise ValueError(f"bad resolution {resolution!r} for {len(axes)} axes")
+    # np.linspace warns on an infinite bound; a NaN one is left to the
+    # coupling validation
+    if any(math.isinf(b) for _, bounds in axes for b in bounds):
+        raise ValueError(f"axis ranges need finite bounds, got "
+                         f"{[bounds for _, bounds in axes]}")
     values = tuple(
         tuple(float(v) for v in np.linspace(lo, hi, r))
         for (_, (lo, hi)), r in zip(axes, res)

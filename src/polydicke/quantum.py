@@ -78,7 +78,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import AtomicSystem, Pair, require_count, require_valid
+from .model import (AtomicSystem, Pair, require_count, require_integer,
+                    require_valid)
 from .symmetries import WeightError, excitation_weights
 from .variational import candidates as _variational_candidates
 
@@ -420,9 +421,10 @@ class SolverConfig:
     """Knobs for the block solves and truncation diagnostics.
 
     Blocks above dense_threshold states go through Lanczos, the rest through
-    dense solves.  degeneracy_tol both groups near-equal sector minima and
-    widens the Gershgorin skip; a result whose boundary weight exceeds
-    boundary_threshold is not converged.  Both must be finite and >= 0.
+    dense solves; it must be an integer.  degeneracy_tol both groups
+    near-equal sector minima and widens the Gershgorin skip; a result whose
+    boundary weight exceeds boundary_threshold is not converged.  Both must
+    be finite and >= 0.
     """
 
     dense_threshold: int = 300
@@ -430,6 +432,7 @@ class SolverConfig:
     degeneracy_tol: float = 1e-10
 
     def __post_init__(self):
+        require_integer("dense_threshold", self.dense_threshold)
         for name in ("boundary_threshold", "degeneracy_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

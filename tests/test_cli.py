@@ -206,7 +206,9 @@ class TestPhaseDiagram:
         (CASCADE, ["2-3", "1-2"], "0.3:2.5", True),
         (CASCADE, ["2-3"], "0:2", True),
         (CASCADE4, ["3-4", "1-2"], "0:2", False),
-    ], ids=["xi", "xi-swapped-rwa", "xi-one-axis-rwa", "cascade4"])
+        (CASCADE4, ["1-2", "2-3", "3-4"], "0:2", False),
+    ], ids=["xi", "xi-swapped-rwa", "xi-one-axis-rwa", "cascade4",
+            "cascade4-three-axes"])
     def test_sidecar_is_plane_boundaries(self, system_file, tmp_path, data,
                                          axes, rng, rwa):
         out = tmp_path / "grid.csv"
@@ -222,7 +224,12 @@ class TestPhaseDiagram:
         assert payload["normal_boundaries"] == {
             f"{j}_{k}": m for (j, k), m in normal.items()}
         assert payload["curves"] == [c.to_json_dict() for c in curves]
-        assert len(curves) == (3 if len(axes) == 2 else 0)
+        # each plane of two axes lists its two normal segments and its
+        # collective-collective curve
+        planes = [[a.replace("-", "_"), b.replace("-", "_")]
+                  for m, a in enumerate(axes) for b in axes[m + 1:]]
+        assert [c["axes"] for c in payload["curves"]] == [
+            plane for plane in planes for _ in range(3)]
 
     def test_unknown_transition_is_config_error(self, system_file, tmp_path):
         code = main([
@@ -232,7 +239,7 @@ class TestPhaseDiagram:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("hi", ["1e100", "1e200"])
+    @pytest.mark.parametrize("hi", ["1e100", "1e200", "inf"])
     def test_range_reaching_overflow_exits_1(self, system_file, tmp_path, hi):
         out = tmp_path / "x.csv"
         code = main([
@@ -423,6 +430,7 @@ class TestObservableRows:
         ["--zeta", "1-2,2-3", "--range=-0.3:1"],
         ["--zeta", "1-2,2-3", "--mu", "nan"],
         ["--zeta", "1-2,2-3", "--mu", "1e100"],
+        ["--axes", "1-2", "--range", "0:inf"],
     ])
     @pytest.mark.parametrize("rwa", [[], ["--rwa"]])
     def test_invalid_sweep_exits_1(self, system_file, tmp_path, sweep, rwa):

@@ -465,6 +465,12 @@ class TestScanGrid:
             scan_grid(xi(), [((1, 2), (0.0, hi)), ((2, 3), (0.0, 2.0))], 5,
                       rwa=rwa)
 
+    # linspace warned (invalid value in multiply) before any validation
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_rejects_infinite_axis_bound(self, xi, bounds):
+        with pytest.raises(ValueError, match="finite bounds"):
+            scan_grid(xi(), [((1, 2), bounds)], 5)
+
     def test_rejects_repeated_axis(self, xi, cascade4):
         with pytest.raises(ValueError, match="repeated"):
             scan_grid(xi(), [((1, 2), (0.0, 2.0)), ((1, 2), (0.0, 1.0))], 5)

@@ -287,6 +287,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
 
+    # a non-integer threshold used to construct, then fail inside the block
+    # solve with a TypeError (NaN passed silently)
+    @pytest.mark.parametrize("value", [2.5, 300.0, math.inf, math.nan,
+                                       "300", True, None])
+    def test_rejects_non_integer_dense_threshold(self, value):
+        with pytest.raises(ValueError, match="dense_threshold"):
+            SolverConfig(dense_threshold=value)
+
     def test_zero_tolerances_are_accepted(self, xi):
         config = SolverConfig(degeneracy_tol=0.0, boundary_threshold=0.0)
         result = ground_state(xi(1.3, 1.7, atom_count=2), 2, 8, rwa=True,

@@ -206,6 +206,35 @@ class TestGradient:
             assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-8)
 
 
+class TestSurfaceProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4))
+    def test_random_systems(self, seed, n):
+        # the reduced surface is the full one at the stationary field and
+        # zero phases, its gradient matches central differences, and all
+        # four stay finite out to the oracle's largest radius cap
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n)
+        cap = variational._RHO_CAP_MAX
+        moderate = np.tan(0.45 * math.pi * rng.uniform(0.0, 1.0, (4, n - 1)))
+        far = [np.full(n - 1, cap), cap * rng.uniform(0.0, 1.0, n - 1)]
+        for rho in [*moderate, *far]:
+            matter = MatterAmplitudes.from_vector(rho)
+            energy = reduced_energy(system, rho)
+            g = gradient(system, rho)
+            field = stationary_field(system, matter)
+            full = energy_surface_full(system, field, matter)
+            assert np.all(np.isfinite([energy, full, *g, *field.r.values()]))
+            assert full == pytest.approx(energy, abs=1e-12)
+        step = 1e-5
+        for rho in moderate:
+            fd = [(reduced_energy(system, rho + h)
+                   - reduced_energy(system, rho - h)) / (2 * step)
+                  for h in step * np.eye(n - 1)]
+            assert np.allclose(gradient(system, rho), fd, rtol=1e-6,
+                               atol=1e-8)
+
+
 class TestCandidates:
     def test_cascade_benchmark_candidate_set(self, xi):
         cands = {(c.kind, c.pair): c for c in candidates(xi(1.0, 1.0))}
