@@ -265,25 +265,25 @@ def _one_sided_derivative(f: Callable[[float], float], t0: float, sign: int,
 
 def ehrenfest_probe(system: AtomicSystem,
                     path: Callable[[float], Mapping[Pair, float]],
-                    point: float, max_order: int = 2, eps: float = 1e-2,
-                    threshold: float = 1e-3) -> Optional[int]:
+                    point: float) -> Optional[int]:
     """Observed transition order at a separatrix crossing on a coupling path.
 
-    One-sided derivatives of the minimum energy along the path are estimated
-    on both sides of `point` and compared order by order; the first order at
-    which they disagree (relative threshold) is returned, None if none does
-    up to max_order.  The path must cross only the one separatrix within
-    3*eps of the point.
+    One-sided derivatives of the minimum energy along the path, from steps
+    of 1e-2 and their halvings, are estimated on both sides of `point` and
+    compared order by order; the first order at which they disagree by more
+    than 1e-3 relative is returned, None if neither the first nor the second
+    does.  The path must cross only the one separatrix within 3e-2 of the
+    point.
     """
     require_valid(system)
 
     def energy(t: float) -> float:
         return variational.minimize(system.with_couplings(path(t))).energy
 
-    for order in range(1, max_order + 1):
-        left = _one_sided_derivative(energy, point, -1, order, eps)
-        right = _one_sided_derivative(energy, point, +1, order, eps)
-        if abs(left - right) > threshold * max(1.0, abs(left), abs(right)):
+    for order in (1, 2):
+        left = _one_sided_derivative(energy, point, -1, order, 1e-2)
+        right = _one_sided_derivative(energy, point, +1, order, 1e-2)
+        if abs(left - right) > 1e-3 * max(1.0, abs(left), abs(right)):
             return order
     return None
 

@@ -71,7 +71,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -88,6 +88,8 @@ DEFAULT_BASIS_BUDGET = 2_000_000
 # two convergence checks
 _LANCZOS_STEPS = 5000
 _CHECK_EVERY = 8
+# cutoff doublings converge_cutoff tries before it gives up
+_MAX_DOUBLINGS = 8
 # memory for the Lanczos vectors eigsh keeps to sum its Ritz vector; the
 # vectors past it are recomputed (at the 2 M basis budget it holds four)
 _KRYLOV_BYTES = 64 * 2 ** 20
@@ -156,7 +158,7 @@ class TruncatedBasis:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.mode_dims)) * self.atomic_dim
+        return math.prod(self.mode_dims) * self.atomic_dim
 
     def index(self, ket: FockKet) -> int:
         """Exact inverse of the enumeration."""
@@ -220,9 +222,14 @@ def _cutoff(pair: Pair, value) -> int:
 def build_basis(system: AtomicSystem, atom_count: int,
                 cutoffs: Union[int, Mapping[Pair, int]],
                 budget: int = DEFAULT_BASIS_BUDGET) -> TruncatedBasis:
-    """Enumerate the truncated basis, refusing sizes above the budget."""
+    """Enumerate the truncated basis, refusing sizes above the budget.
+
+    The size is counted in exact integers before anything is enumerated;
+    budget must be an integer >= 1.
+    """
     require_valid(system)
     atom_count = require_count("atom_count", atom_count)
+    budget = require_count("budget", budget)
     pairs = system.pairs
     if isinstance(cutoffs, Mapping):
         missing = [p for p in pairs if p not in cutoffs]
@@ -231,16 +238,17 @@ def build_basis(system: AtomicSystem, atom_count: int,
         cut = tuple(_cutoff(p, cutoffs[p]) for p in pairs)
     else:
         cut = tuple(_cutoff(p, cutoffs) for p in pairs)
-    atomic = _atomic_compositions(atom_count, system.n)
-    size = int(np.prod([c + 1 for c in cut])) * len(atomic)
+    atomic_dim = math.comb(atom_count + system.n - 1, system.n - 1)
+    size = math.prod(c + 1 for c in cut) * atomic_dim
     if size > budget:
         raise BudgetError(
-            f"basis of {size} kets (cutoffs {cut}, {len(atomic)} atomic "
+            f"basis of {size} kets (cutoffs {cut}, {atomic_dim} atomic "
             f"configurations) exceeds the budget of {budget}; raise the "
             f"budget or lower the cutoffs"
         )
     return TruncatedBasis(pairs=pairs, cutoffs=cut, atom_count=atom_count,
-                          n_levels=system.n, atomic_kets=tuple(atomic))
+                          n_levels=system.n, atomic_kets=tuple(
+                              _atomic_compositions(atom_count, system.n)))
 
 
 def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
@@ -421,23 +429,18 @@ class SolverConfig:
     """Knobs for the block solves and truncation diagnostics.
 
     Blocks above dense_threshold states go through Lanczos, the rest through
-    dense solves; it must be an integer.  degeneracy_tol both groups
-    near-equal sector minima and widens the Gershgorin skip; a result whose
-    boundary weight exceeds boundary_threshold is not converged.  Both must
-    be finite and >= 0.
+    dense solves; it must be an integer.  The two tolerances are fixed:
+    degeneracy_tol both groups near-equal sector minima and widens the
+    Gershgorin skip, and a result whose boundary weight exceeds
+    boundary_threshold is not converged.
     """
 
     dense_threshold: int = 300
-    boundary_threshold: float = 1e-8
-    degeneracy_tol: float = 1e-10
+    boundary_threshold: ClassVar[float] = 1e-8
+    degeneracy_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         require_integer("dense_threshold", self.dense_threshold)
-        for name in ("boundary_threshold", "degeneracy_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, "
-                                 f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -946,7 +949,6 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
                     tol: float, rwa: bool = False,
                     config: Optional[SolverConfig] = None,
                     budget: int = DEFAULT_BASIS_BUDGET,
-                    max_doublings: int = 8,
                     ) -> Tuple[Dict[Pair, int], QuantumGroundResult]:
     """Double every cutoff until the ground energy settles within tol.
 
@@ -954,13 +956,12 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
     not lean on the truncation boundary; returns that finer result.  Each
     finer full-model solve starts its Lanczos solves from the previous
     solve's sector vectors (see `ground_state`).  Raises BudgetError when
-    the basis budget or the doubling budget runs out; the latter's message
-    lists every step's cutoffs, energy per particle and boundary weight.
-    max_doublings must be an integer >= 1, and tol finite and positive.
+    the basis budget or the doubling budget (_MAX_DOUBLINGS) runs out; the
+    latter's message lists every step's cutoffs, energy per particle and
+    boundary weight.  tol must be finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    require_count("max_doublings", max_doublings)
     require_valid(system)
 
     def step(r: QuantumGroundResult) -> str:
@@ -970,7 +971,7 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
     previous = ground_state(system, atom_count, start_cutoffs, rwa=rwa,
                             config=config, budget=budget)
     history = [step(previous)]
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         finer = {p: max(2 * c, 1) for p, c in previous.cutoffs.items()}
         result = ground_state(system, atom_count, finer, rwa=rwa,
                               config=config, budget=budget, start=previous)
@@ -979,7 +980,7 @@ def converge_cutoff(system: AtomicSystem, atom_count: int,
         history.append(step(result))
         previous = result
     raise BudgetError(
-        f"not converged within tol {tol:g} after {max_doublings} doublings: "
+        f"not converged within tol {tol:g} after {_MAX_DOUBLINGS} doublings: "
         + "; ".join(history))
 
 

@@ -323,14 +323,12 @@ class NumericMinimum:
 # the benchmark's mix); one still moving after this many has not stopped
 _SIMPLEX_ITERATIONS = 1_000
 _SIMPLEX_STEP_TOL = 1e-14
-# largest rho_cap accepted: squares of the radii, the largest powers formed,
-# stay finite to about 1e154, and a larger cap could not report the
-# infinite-radius branch closer than its O(1/rho_cap^2) = 1e-150 already does
-_RHO_CAP_MAX = 1e75
+# largest radius the oracle reports; the infinite-radius branch sits there
+_RHO_CAP = 1e4
 
 
 def minimize_numeric(system: AtomicSystem, starts: int = 2,
-                     rho_cap: float = 1e4, seed: int = 0) -> NumericMinimum:
+                     seed: int = 0) -> NumericMinimum:
     """Multi-start minimization of the reduced surface on the simplex.
 
     Independent numerical check of the closed forms: it reads only omega,
@@ -350,22 +348,19 @@ def minimize_numeric(system: AtomicSystem, starts: int = 2,
     by less than 1e-14.  The starts are a deterministic structured set
     (origin, one moderate and one far start per level, far rays for every
     level pair) plus `starts` draws seeded by `seed`, laid out in
-    u = (2/pi) atan(rho) on [0, (2/pi) atan(rho_cap)] and mapped to x.
+    u = (2/pi) atan(rho) on [0, (2/pi) atan(1e4)] and mapped to x.
 
     The least start is mapped back as rho_j = sqrt(x_j/x_1), with x_1
-    floored at max_j x_j / rho_cap^2: no radius exceeds rho_cap, and a
-    minimum on the infinite-radius branch is reported at radius rho_cap,
-    where its energy is exact to O(1/rho_cap^2).  The energy returned is
+    floored at max_j x_j / 1e8: no radius exceeds the cap of 1e4, and a
+    minimum on the infinite-radius branch is reported at that radius,
+    where its energy is exact to O(1e-8).  The energy returned is
     :func:`reduced_energy` at those radii.
 
-    Raises ValueError unless starts is an integer >= 1 and rho_cap lies in
-    (0, 1e75], and RuntimeError if no start stops within the iteration cap.
+    Raises ValueError unless starts is an integer >= 1, and RuntimeError if
+    no start stops within the iteration cap.
     """
     require_valid(system)
     starts = require_count("starts", starts)
-    if not 0.0 < rho_cap <= _RHO_CAP_MAX:
-        raise ValueError(
-            f"rho_cap must lie in (0, {_RHO_CAP_MAX:g}], got {rho_cap!r}")
     n = system.n
     omega, hess = _simplex_quadratic(system)
     lipschitz = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
@@ -373,7 +368,7 @@ def minimize_numeric(system: AtomicSystem, starts: int = 2,
 
     face, definite, bend = _faces(hess, omega)
     bits = 1 << np.arange(n)
-    x = _starts(n - 1, starts, rho_cap, seed)
+    x = _starts(n - 1, starts, seed)
     done = np.zeros(len(x), dtype=bool)
     for _ in range(_SIMPLEX_ITERATIONS):
         y = _simplex_projection(x - step * (omega + x @ hess))
@@ -393,19 +388,19 @@ def minimize_numeric(system: AtomicSystem, starts: int = 2,
             f"(best simplex energy {energies.min()})"
         )
     top = best[1:].max()
-    if top > best[0] * rho_cap * rho_cap:   # x_1 below its floor
-        rho = rho_cap * np.sqrt(best[1:] / top)
+    if top > best[0] * _RHO_CAP * _RHO_CAP:   # x_1 below its floor
+        rho = _RHO_CAP * np.sqrt(best[1:] / top)
     else:
-        rho = np.minimum(np.sqrt(best[1:] / best[0]), rho_cap)
+        rho = np.minimum(np.sqrt(best[1:] / best[0]), _RHO_CAP)
     return NumericMinimum(matter=MatterAmplitudes.from_vector(rho),
                           energy=_reduced_surface(omega, hess, rho)[0])
 
 
-def _starts(nv: int, random: int, rho_cap: float, seed: int) -> np.ndarray:
+def _starts(nv: int, random: int, seed: int) -> np.ndarray:
     """Start points on the simplex, one row per start: the structured set,
     then `random` seeded draws, uniform in u = (2/pi) atan(rho) below
-    rho_cap, each mapped to (1, rho^2) / (1 + R0^2)."""
-    u_cap = 2.0 / math.pi * math.atan(rho_cap)
+    _RHO_CAP, each mapped to (1, rho^2) / (1 + R0^2)."""
+    u_cap = 2.0 / math.pi * math.atan(_RHO_CAP)
     rows = [np.full(nv, 0.15)]
     for i in range(nv):
         s = np.full(nv, 0.10)

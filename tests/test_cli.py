@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydicke import (cascade_system, condensate, minimize,
                        plane_boundaries, rwa_rescale, suggest_cutoffs,
@@ -503,6 +505,32 @@ class TestExact:
         assert code == 2
         assert not (tmp_path / "never.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--na", "1", "--cutoff", "4294967295"],
+        ["--na", "1000000", "--cutoff", "4"],
+    ], ids=["cutoff-2**32", "atoms-1e6"])
+    def test_basis_size_counted_exactly_exits_2(self, system_file, tmp_path,
+                                                capsys, argv):
+        # the cutoff used to wrap the size to 0 kets and exit 1; the atom
+        # count enumerated its compositions for minutes before the check
+        code = main(["exact", "--system", system_file(), *argv,
+                     "--out", str(tmp_path / "never.json")])
+        assert code == 2
+        assert "exceeds the budget" in capsys.readouterr().err
+        assert not (tmp_path / "never.json").exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_budget_exits_1(self, system_file, tmp_path, capsys,
+                                        budget):
+        # used to exit 2, as if the basis had exceeded it
+        code = main(["exact", "--system", system_file(), "--na", "1",
+                     "--cutoff", "4", "--budget", budget,
+                     "--out", str(tmp_path / "never.json")])
+        assert code == 1
+        assert f"budget must be at least 1, got {budget}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "never.json").exists()
+
     def test_zero_atoms_exits_1(self, system_file, tmp_path, capsys):
         code = main([
             "exact", "--system", system_file(), "--na", "0",
@@ -765,6 +793,25 @@ class TestCompare:
         assert searches == [17 * 33 * 6]
 
 
+def _away_from_label_changes_loop(labels, margin):
+    """Reference for `cli._away_from_label_changes`, cell by cell: every
+    probe of a cell's Chebyshev neighborhood that lies inside the grid."""
+    shape = labels.shape
+    out = np.empty(shape, dtype=bool)
+    offsets = list(np.ndindex(*((2 * margin + 1,) * labels.ndim)))
+    for index in np.ndindex(*shape):
+        ok = True
+        for off in offsets:
+            probe = tuple(i + o - margin for i, o in zip(index, off))
+            if any(p < 0 or p >= s for p, s in zip(probe, shape)):
+                continue
+            if labels[probe] != labels[index]:
+                ok = False
+                break
+        out[index] = ok
+    return out
+
+
 class TestCompareScoring:
     """Which cells `compare` scores: those whose whole Chebyshev
     neighbourhood of radius 2 within the grid shares their label."""
@@ -784,6 +831,20 @@ class TestCompareScoring:
         kept = cli._away_from_label_changes(labels, margin=2)
         row = [True, False, False, False, False, True, True]
         assert kept.tolist() == [row] * 5
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           margin=st.integers(0, 3), data=st.data())
+    def test_matches_per_cell_loop(self, shape, margin, data):
+        codes = data.draw(st.lists(st.integers(0, 2), min_size=math.prod(shape),
+                                   max_size=math.prod(shape)))
+        labels = np.array(["N", "S_1_2", "S_2_3"], dtype=object)[
+            np.reshape(codes, shape)]
+        kept = cli._away_from_label_changes(labels, margin)
+        assert kept.dtype == bool
+        assert np.array_equal(kept, _away_from_label_changes_loop(labels,
+                                                                  margin))
 
     def test_two_axes_corner_cell_is_a_chebyshev_square(self):
         labels = np.full((6, 6), "N", dtype=object)

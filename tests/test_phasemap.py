@@ -394,6 +394,12 @@ class TestEhrenfestProbe:
                                 1.2)
         assert order is None
 
+    @pytest.mark.parametrize("name", ["max_order", "eps", "threshold"])
+    def test_probe_settings_are_fixed(self, xi, name):
+        with pytest.raises(TypeError, match=name):
+            ehrenfest_probe(xi(), cascade_path(xi(), (1, 2), {(2, 3): 0.2}),
+                            MU_STAR_12, **{name: 1})
+
 
 class TestScanGrid:
     def test_cascade_grid_regions(self, xi):
