@@ -139,10 +139,14 @@ class AtomicSystem:
 def validate(system: AtomicSystem) -> ValidationReport:
     """Report every violated structural rule; empty violations means valid.
 
-    Idempotent and side-effect-free.  Exceeding the lmax mode count is
-    reported as a notice, not a violation.
+    Idempotent and side-effect-free.  n and atom_count must be integers
+    by the rule of :func:`require_integer`.  Exceeding the lmax mode count
+    is reported as a notice, not a violation.
     """
-    bad = []
+    bad = [f"{name} must be an integer, got {value!r}"
+           for name, value in (("n", system.n),
+                               ("atom_count", system.atom_count))
+           if not _is_integer(value)]
     notes = []
     levels_ok = False
     if system.n < 2:
@@ -159,7 +163,7 @@ def validate(system: AtomicSystem) -> ValidationReport:
             bad.append("level 1 energy must be 0 (energies measured from it)")
         if any(a >= b for a, b in zip(system.omega, system.omega[1:])):
             bad.append("levels not strictly increasing")
-    if system.atom_count < 1:
+    if _is_integer(system.atom_count) and system.atom_count < 1:
         bad.append(f"atom_count must be positive, got {system.atom_count}")
 
     seen = set()
@@ -209,10 +213,15 @@ def require_valid(system: AtomicSystem) -> AtomicSystem:
     return system
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or NumPy integer, bools excluded."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def require_integer(name: str, value) -> int:
-    """value as the integer called name: a Python or NumPy integer, bools
-    excluded."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """value as the integer called name: see :func:`_is_integer`."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .model import AtomicSystem, Pair, require_valid
+from .model import AtomicSystem, Pair, require_integer, require_valid
 from .variational import (KIND_NORMAL, VariationalCandidate, condensate,
                           minimize_array, region_tag)
 
@@ -190,10 +190,11 @@ def sweep_rows(system: AtomicSystem,
 def photon_distribution(system: AtomicSystem, candidate: VariationalCandidate,
                         count: int) -> np.ndarray:
     """P(m) for m = 0..count photons in the active mode: Poisson with mean
-    N_a * r_c^2 (a point mass at 0 for the normal state)."""
+    N_a * r_c^2 (a point mass at 0 for the normal state).  count must be an
+    integer >= 0, bools excluded."""
     if not candidate.exists:
         raise ValueError("candidate does not exist at these couplings")
-    if count < 0:
+    if require_integer("count", count) < 0:
         raise ValueError("count must be nonnegative")
     lam = system.atom_count * (candidate.photon_amp or 0.0) ** 2
     m = np.arange(count + 1)

@@ -2,10 +2,12 @@
 
 The basis is the raw occupation basis |nu_1.., n_1..> (photon numbers per
 mode up to a cutoff, one atomic composition per ket), enumerated
-lexicographically.  One kernel (`_hamiltonian_entries`) lists the diagonal
-and the photon-creating coupling elements of the Hamiltonian by index
-arithmetic: adding a photon to a mode moves the basis index by a fixed
-stride, and the atom's hop by an offset read from the composition table.
+lexicographically: the C-ordered grid mode_dims + (atomic_dim,), whose last
+axis runs over the rows of one integer table of compositions.  One kernel
+(`_hamiltonian_entries`) lists the diagonal and the photon-creating
+coupling elements of the Hamiltonian by index arithmetic: adding a photon
+to a mode moves the basis index by a fixed stride, and the atom's hop moves
+it to the closed-form rank (`_rank`) of the hopped composition.
 The matrix is exactly real symmetric; amplitudes that would leave the
 truncation are dropped by construction and their damage is measured after
 the solve as the ground-state weight sitting on saturated photon states.
@@ -118,35 +120,41 @@ class FockKet:
         return dict(zip(self.pairs, self.nu))
 
 
-def _atomic_compositions(atom_count: int, n: int) -> List[Tuple[int, ...]]:
-    """All occupations (n_1..n_n) summing to atom_count, lexicographic."""
-    out: List[Tuple[int, ...]] = []
+def _rank(occ, atom_count: int) -> np.ndarray:
+    """Row of each composition in occ (last axis: atoms per level) within
+    the lexicographic table of atom_count atoms.
 
-    def rec(prefix: List[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], atom_count, n)
-    return out
+    The compositions before one with n_i atoms on level i and the same ones
+    on the levels above are those with fewer atoms there, and they number
+    C(R_i + s_i, s_i) - C(R_i - n_i + s_i, s_i) (hockey stick), with R_i
+    the atoms left for level i onwards and s_i the levels after it; the rank
+    sums this over the levels.  C(R + s, s) comes from an exact int64 Pascal
+    table over R <= atom_count, whose entries are at most atomic_dim.
+    """
+    occ = np.asarray(occ, dtype=np.int64)
+    s = np.arange(occ.shape[-1] - 1, -1, -1)
+    pascal = np.ones((atom_count + 1, len(s)), dtype=np.int64)
+    for j in range(1, len(s)):
+        pascal[:, j] = np.cumsum(pascal[:, j - 1])
+    left = atom_count - np.cumsum(occ, axis=-1) + occ
+    return (pascal[left, s] - pascal[left - occ, s]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class TruncatedBasis:
     """Deterministic enumeration of the truncated product basis.
 
-    Index order is lexicographic in the concatenated occupation tuple
-    (nu..., n...): photon numbers of the first canonical pair vary slowest,
-    atomic compositions fastest.
+    The basis is the C-ordered grid mode_dims + (atomic_dim,): index order
+    is lexicographic in the concatenated occupation tuple (nu..., n...),
+    photon numbers of the first canonical pair varying slowest and atomic
+    compositions fastest.  The fields determine everything else; the tables
+    are built on first use and shared, read-only, by later ones.
     """
 
     pairs: Tuple[Pair, ...]
     cutoffs: Tuple[int, ...]
     atom_count: int
     n_levels: int
-    atomic_kets: Tuple[Tuple[int, ...], ...]
 
     @property
     def mode_dims(self) -> Tuple[int, ...]:
@@ -154,68 +162,75 @@ class TruncatedBasis:
 
     @property
     def atomic_dim(self) -> int:
-        return len(self.atomic_kets)
+        return math.comb(self.atom_count + self.n_levels - 1,
+                         self.n_levels - 1)
 
     @property
     def size(self) -> int:
         return math.prod(self.mode_dims) * self.atomic_dim
 
+    @functools.cached_property
+    def atomic_kets(self) -> np.ndarray:
+        """(atomic_dim, n_levels) table of every composition of atom_count
+        atoms, lexicographic: each level repeats every row once per count
+        from 0 to the atoms it has left."""
+        table = np.zeros((1, 0), dtype=np.int64)
+        left = np.array([self.atom_count])
+        for _ in range(self.n_levels - 1):
+            reps = left + 1
+            count = np.arange(reps.sum()) - np.repeat(reps.cumsum() - reps,
+                                                      reps)
+            table = np.column_stack([np.repeat(table, reps, axis=0), count])
+            left = np.repeat(left, reps) - count
+        table = np.column_stack([table, left])
+        _read_only(table)
+        return table
+
     def index(self, ket: FockKet) -> int:
-        """Exact inverse of the enumeration."""
-        idx = 0
-        for v, d in zip(ket.nu, self.mode_dims):
-            if not 0 <= v < d:
-                raise ValueError(f"photon occupation {v} outside cutoff {d - 1}")
-            idx = idx * d + v
-        return idx * self.atomic_dim + self._atomic_index[ket.n]
+        """Exact inverse of the enumeration; a ValueError for a ket outside
+        the basis."""
+        if (tuple(ket.pairs) != self.pairs or len(ket.nu) != len(self.pairs)
+                or not all(0 <= v <= c for v, c in zip(ket.nu, self.cutoffs))
+                or len(ket.n) != self.n_levels or min(ket.n) < 0
+                or sum(ket.n) != self.atom_count):
+            raise ValueError(
+                f"no ket with photons {ket.nu} on transitions {ket.pairs} and "
+                f"atoms {ket.n} in the basis of cutoffs {self.cutoffs} on "
+                f"transitions {self.pairs} and {self.atom_count} atoms in "
+                f"{self.n_levels} levels")
+        return int(np.ravel_multi_index(
+            tuple(ket.nu) + (_rank(ket.n, self.atom_count),),
+            self.mode_dims + (self.atomic_dim,)))
 
     def ket(self, index: int) -> FockKet:
-        index, a = divmod(index, self.atomic_dim)
-        nu = [0] * len(self.pairs)
-        for m in range(len(self.pairs) - 1, -1, -1):
-            index, nu[m] = divmod(index, self.mode_dims[m])
-        return FockKet(nu=tuple(nu), n=self.atomic_kets[a], pairs=self.pairs)
+        """The ket at index; a ValueError for an index outside the basis."""
+        if not 0 <= require_integer("basis index", index) < self.size:
+            raise ValueError(f"basis index {index} outside a basis of "
+                             f"{self.size} kets")
+        *nu, a = np.unravel_index(index, self.mode_dims + (self.atomic_dim,))
+        return FockKet(nu=tuple(map(int, nu)),
+                       n=tuple(self.atomic_kets[a].tolist()), pairs=self.pairs)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_atomic_index",
-            {ket: i for i, ket in enumerate(self.atomic_kets)},
-        )
-
+    @functools.cached_property
     def nu_columns(self) -> np.ndarray:
-        """(size, n_modes) photon occupation of every basis index.
-
-        Computed on the first call and shared, read-only, by later ones.
-        """
-        cols = self.__dict__.get("_nu_columns")
-        if cols is None:
-            dims = self.mode_dims
-            total = self.size
-            cols = np.empty((total, len(dims)), dtype=np.int64)
-            idx = np.arange(total) // self.atomic_dim
-            for m in range(len(dims) - 1, -1, -1):
-                idx, rem = np.divmod(idx, dims[m])
-                cols[:, m] = rem
-            cols.flags.writeable = False
-            object.__setattr__(self, "_nu_columns", cols)
+        """(size, n_modes) photon occupation of every basis index."""
+        nu = np.unravel_index(np.arange(self.size),
+                              self.mode_dims + (self.atomic_dim,))[:-1]
+        cols = np.array(nu, dtype=np.int64).reshape(len(nu), self.size).T
+        _read_only(cols)
         return cols
 
     def occupation_columns(self) -> np.ndarray:
         """(size, n_levels) atomic occupation of every basis index."""
-        occ = np.array(self.atomic_kets, dtype=np.int64)
-        reps = self.size // self.atomic_dim
-        return np.tile(occ, (reps, 1))
+        return np.tile(self.atomic_kets, (self.size // self.atomic_dim, 1))
 
 
 def _cutoff(pair: Pair, value) -> int:
     """value as a photon cutoff of transition pair: a Python or NumPy
     integer >= 0, bools excluded."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"cutoff of transition {pair[0]}-{pair[1]} must be "
-                         f"an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"cutoff of transition {pair[0]}-{pair[1]} must be "
-                         f"nonnegative, got {value}")
+    name = f"cutoff of transition {pair[0]}-{pair[1]}"
+    if require_integer(name, value) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
     return int(value)
 
 
@@ -238,17 +253,15 @@ def build_basis(system: AtomicSystem, atom_count: int,
         cut = tuple(_cutoff(p, cutoffs[p]) for p in pairs)
     else:
         cut = tuple(_cutoff(p, cutoffs) for p in pairs)
-    atomic_dim = math.comb(atom_count + system.n - 1, system.n - 1)
-    size = math.prod(c + 1 for c in cut) * atomic_dim
-    if size > budget:
+    basis = TruncatedBasis(pairs=pairs, cutoffs=cut, atom_count=atom_count,
+                           n_levels=system.n)
+    if basis.size > budget:
         raise BudgetError(
-            f"basis of {size} kets (cutoffs {cut}, {atomic_dim} atomic "
-            f"configurations) exceeds the budget of {budget}; raise the "
-            f"budget or lower the cutoffs"
+            f"basis of {basis.size} kets (cutoffs {cut}, {basis.atomic_dim} "
+            f"atomic configurations) exceeds the budget of {budget}; raise "
+            f"the budget or lower the cutoffs"
         )
-    return TruncatedBasis(pairs=pairs, cutoffs=cut, atom_count=atom_count,
-                          n_levels=system.n, atomic_kets=tuple(
-                              _atomic_compositions(atom_count, system.n)))
+    return basis
 
 
 def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
@@ -264,12 +277,12 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
     transition in basis.pairs; `_coupling_values` scales them into
     H[rows, cols].  The rest of H is the transpose of these.  A photon
     added to mode m moves the index by that mode's stride times atomic_dim;
-    the atom's hop moves it by the offset between two rows of the
-    composition table.  Transitions with mu = 0 contribute no element.
+    the atom's hop moves it by the difference of the two compositions'
+    ranks (`_rank`).  Transitions with mu = 0 contribute no element.
     """
     A = basis.atomic_dim
-    occ = np.array(basis.atomic_kets, dtype=np.int64)
-    photons = basis.nu_columns()[::A]
+    occ = basis.atomic_kets
+    photons = basis.nu_columns[::A]
     photon_energy = np.zeros(len(photons))
     for m, p in enumerate(basis.pairs):
         photon_energy += system.transition(p).Omega * photons[:, m]
@@ -300,10 +313,7 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
             moved = occ[a]
             moved[:, gone - 1] -= 1
             moved[:, dst - 1] += 1
-            # the table is lexicographic and holds every moved composition,
-            # so its sorted unique rows are the table itself
-            target = np.unique(np.concatenate([occ, moved]), axis=0,
-                               return_inverse=True)[1].ravel()[A:]
+            target = _rank(moved, basis.atom_count)
             hop = np.sqrt((occ[a, dst - 1] + 1) * occ[a, gone - 1])
             source = (src[:, np.newaxis] * A + a.astype(index)).ravel()
             cols.append(source)
@@ -365,7 +375,7 @@ class SymmetrySector:
 
 def _charges(basis: TruncatedBasis) -> np.ndarray:
     """(size, n_levels) charge vector K of every basis index."""
-    nu_cols = basis.nu_columns()
+    nu_cols = basis.nu_columns
     K = basis.occupation_columns()
     for m, (j, k) in enumerate(basis.pairs):
         K[:, k - 1] += nu_cols[:, m]
@@ -893,8 +903,8 @@ def ground_state(system: AtomicSystem, atom_count: int,
 
     weights = vec * vec
     weights = weights / weights.sum()
-    nu_cols = basis.nu_columns()[indices]
-    occ = np.array(basis.atomic_kets)[indices % basis.atomic_dim]
+    nu_cols = basis.nu_columns[indices]
+    occ = basis.atomic_kets[indices % basis.atomic_dim]
     nu = {
         p: float(weights @ nu_cols[:, m]) / atom_count
         for m, p in enumerate(basis.pairs)

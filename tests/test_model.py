@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from polydicke import (
@@ -168,3 +170,22 @@ def test_mu_zero_candidate_never_wins(xi):
     )
     assert minimize(with_zero).region == minimize(without).region
     assert minimize(with_zero).energy == minimize(without).energy
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 3.0), ("n", True), ("atom_count", 2.5), ("atom_count", True),
+    ("atom_count", 2.0), ("atom_count", "2"), ("atom_count", None)])
+def test_non_integer_counts_are_violations(xi, field, value):
+    # n=3.0, atom_count=2.5 and atom_count=True used to validate clean, and
+    # matter_distribution then failed with a TypeError
+    system = dataclasses.replace(xi(), **{field: value})
+    assert f"{field} must be an integer, got {value!r}" in validate(
+        system).violations
+    with pytest.raises(InvalidSystemError, match=f"{field} must be an "
+                                                 f"integer"):
+        minimize(system)
+
+
+def test_numpy_integer_counts_are_valid(xi):
+    assert validate(dataclasses.replace(xi(), n=np.int64(3),
+                                        atom_count=np.int32(4))).ok

@@ -155,6 +155,20 @@ class TestDistributions:
         mean = (p * m).sum()
         assert (p * (m - mean) ** 2).sum() == pytest.approx(0.9375, abs=1e-10)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, np.True_, "2", None])
+    def test_photon_count_must_be_an_integer(self, xi, count):
+        # 2.5 used to give 4 probabilities and True 2
+        system = xi(1.0, 0.0)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            photon_distribution(system, minimize(system), count)
+
+    def test_photon_count_must_be_nonnegative(self, xi):
+        system = xi(1.0, 0.0)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            photon_distribution(system, minimize(system), -1)
+        assert len(photon_distribution(system, minimize(system),
+                                       np.int64(3))) == 4
+
     def test_partial_sums_monotone(self, xi):
         system = xi(1.0, 0.0)
         best = minimize(system)

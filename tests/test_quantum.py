@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import time
@@ -133,6 +134,86 @@ class TestBasis:
             with pytest.raises(ValueError, match=message):
                 call()
         assert component_searches == []
+
+    @pytest.mark.parametrize("index", [10 ** 6, 54, -1, 2.5, True, None],
+                             ids=["huge", "size", "negative", "float", "bool",
+                                  "none"])
+    def test_ket_rejects_an_index_outside_the_basis(self, xi, index):
+        # 10**6 and -1 used to wrap round into a ket of the basis
+        basis = build_basis(xi(), 2, 2)
+        with pytest.raises(ValueError):
+            basis.ket(index)
+
+    @pytest.mark.parametrize("nu, n, pairs", [
+        ((1,), (0, 1, 1), ((1, 2), (2, 3))),
+        ((1, 1, 0), (0, 1, 1), ((1, 2), (2, 3))),
+        ((1, 1), (0, 1, 1), ((1, 2), (1, 3))),
+        ((1, 3), (0, 1, 1), ((1, 2), (2, 3))),
+        ((-1, 1), (0, 1, 1), ((1, 2), (2, 3))),
+        ((1, 1), (0, 2), ((1, 2), (2, 3))),
+        ((1, 1), (0, 1, 1, 0), ((1, 2), (2, 3))),
+        ((1, 1), (3, -1, 0), ((1, 2), (2, 3))),
+        ((1, 1), (1, 0, 0), ((1, 2), (2, 3))),
+        ((1, 1), (1, 1, 1), ((1, 2), (2, 3))),
+    ], ids=["one-photon-number", "three-photon-numbers", "other-pairs",
+            "above-cutoff", "negative-photons", "short-composition",
+            "long-composition", "negative-atoms", "too-few-atoms",
+            "too-many-atoms"])
+    def test_index_rejects_a_ket_outside_the_basis(self, xi, nu, n, pairs):
+        # the first and third used to give index 5, and every composition
+        # of the wrong length or sum a KeyError; the closed-form rank would
+        # give a wrong index for them, so index checks them all
+        from polydicke import FockKet
+        basis = build_basis(xi(), 2, 2)
+        with pytest.raises(ValueError, match="no ket with photons"):
+            basis.index(FockKet(nu=nu, n=n, pairs=pairs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(atoms=st.integers(1, 40), levels=st.integers(2, 5))
+    def test_composition_table_and_rank(self, atoms, levels):
+        basis = quantum.TruncatedBasis(pairs=(), cutoffs=(),
+                                       atom_count=atoms, n_levels=levels)
+        table = basis.atomic_kets
+        # the lexicographic enumeration: every count for the first
+        # levels-1 levels, the last level taking the atoms left
+        want = [head + (atoms - sum(head),) for head in itertools.product(
+            range(atoms + 1), repeat=levels - 1) if sum(head) <= atoms]
+        assert table.dtype == np.int64
+        assert table.shape == (basis.atomic_dim, levels)
+        assert [tuple(row) for row in table.tolist()] == want
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(quantum._rank(table, atoms),
+                                      np.arange(len(want)))
+        for gone in range(levels):
+            for dst in range(levels):
+                if dst == gone:
+                    continue
+                moved = table[table[:, gone] > 0].copy()
+                moved[:, gone] -= 1
+                moved[:, dst] += 1
+                np.testing.assert_array_equal(
+                    table[quantum._rank(moved, atoms)], moved)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), levels=st.integers(2, 4),
+           atoms=st.integers(1, 6), data=st.data())
+    def test_index_inverts_ket_on_random_bases(self, seed, levels, atoms,
+                                               data):
+        system = random_system(np.random.default_rng(seed), levels)
+        cutoffs = {p: data.draw(st.integers(0, 3), label=f"cutoff {p}")
+                   for p in system.pairs}
+        basis = build_basis(system, atoms, cutoffs)
+        for i in data.draw(st.lists(st.integers(0, basis.size - 1),
+                                    min_size=1, max_size=20), label="i"):
+            assert basis.index(basis.ket(i)) == i
+
+    def test_large_atom_count_without_photons(self, xi):
+        # 180,901 compositions: the table and the hop ranks are array work
+        result = ground_state(xi(atom_count=600), 600, 0)
+        assert result.energy == 0.0
+        assert result.populations == (1.0, 0.0, 0.0)
+        basis = build_basis(xi(atom_count=600), 600, 0)
+        assert basis.atomic_dim == basis.size == math.comb(602, 2) == 180_901
 
 
 class TestHamiltonian:
@@ -595,7 +676,7 @@ class TestAtomNumberTrend:
 
 def _split_sectors_reference(system, basis):
     """The row-by-row dict grouping that split_sectors replaced."""
-    nu_cols = basis.nu_columns()
+    nu_cols = basis.nu_columns
     occ = basis.occupation_columns()
     K = occ.copy()
     for m, (j, k) in enumerate(basis.pairs):
@@ -1086,10 +1167,12 @@ class TestWarmLanczosProperties:
 
 def _build_hamiltonian_reference(system, basis, rwa=False):
     """The Kronecker-chain assembly that build_hamiltonian replaced."""
+    kets = [tuple(row) for row in basis.atomic_kets.tolist()]
+
     def atomic_hop(j, k):
-        index = {ket: i for i, ket in enumerate(basis.atomic_kets)}
+        index = {ket: i for i, ket in enumerate(kets)}
         rows, cols, vals = [], [], []
-        for i, ket in enumerate(basis.atomic_kets):
+        for i, ket in enumerate(kets):
             if ket[k - 1] > 0:
                 target = list(ket)
                 target[k - 1] -= 1
@@ -1191,7 +1274,7 @@ def _component_route(system, atoms, cutoffs, config, rwa):
     _, energy, vec, indices = next(item for item in found
                                    if item[0] == degenerate[0])
     weights = vec * vec / (vec @ vec)
-    nu_cols = basis.nu_columns()[indices]
+    nu_cols = basis.nu_columns[indices]
     at_boundary = (nu_cols == np.array(basis.cutoffs)).any(axis=1)
     return {
         "energy": energy / atoms,
@@ -1336,7 +1419,7 @@ class TestChargeBlocks:
         system = xi(0.0, 0.8, atom_count=2)
         ground_state(system, 2, 4, rwa=True)
         blocks, = block_solves
-        nu12 = build_basis(system, 2, 4).nu_columns()[:, 0]
+        nu12 = build_basis(system, 2, 4).nu_columns[:, 0]
         for b in range(len(blocks.sizes)):
             assert len(set(nu12[blocks.members(b)])) == 1
         assert blocks.sizes.max() > 1
@@ -1468,7 +1551,7 @@ class TestTruncationCache:
         arrays = [value for owner in (truncation, layout)
                   for value in vars(owner).values()
                   if isinstance(value, np.ndarray)]
-        arrays.append(truncation.basis.nu_columns())
+        arrays.append(truncation.basis.nu_columns)
         assert len(arrays) == 15
         for a in arrays:
             assert not a.flags.writeable
