@@ -147,6 +147,9 @@ def validate(system: AtomicSystem) -> ValidationReport:
            for name, value in (("n", system.n),
                                ("atom_count", system.atom_count))
            if not _is_integer(value)]
+    # every later rule reads n
+    if not _is_integer(system.n):
+        return ValidationReport(violations=tuple(bad))
     notes = []
     levels_ok = False
     if system.n < 2:

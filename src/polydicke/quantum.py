@@ -66,6 +66,9 @@ otherwise from the all-ones vector, so every solve is deterministic.  On ξ
 the fine solve then takes a third fewer Lanczos steps than the cold coarse
 one, on blocks four times larger.  A rotating-wave result keeps no vector,
 since no solve can start from it, and computes only its winner's.
+
+scipy is imported on the first exact solve, not with the module, so the
+closed-form commands (validate, phase-diagram, observables) never load it.
 """
 
 from __future__ import annotations
@@ -76,9 +79,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .model import (AtomicSystem, Pair, require_count, require_integer,
                     require_valid)
@@ -188,7 +188,12 @@ class TruncatedBasis:
 
     def index(self, ket: FockKet) -> int:
         """Exact inverse of the enumeration; a ValueError for a ket outside
-        the basis."""
+        the basis, or one whose occupations are not integers by the rule of
+        `require_integer`."""
+        for name, values in (("photon number", ket.nu),
+                             ("level occupation", ket.n)):
+            for value in values:
+                require_integer(name, value)
         if (tuple(ket.pairs) != self.pairs or len(ket.nu) != len(self.pairs)
                 or not all(0 <= v <= c for v, c in zip(ket.nu, self.cutoffs))
                 or len(ket.n) != self.n_levels or min(ket.n) < 0
@@ -346,6 +351,8 @@ def build_hamiltonian(system: AtomicSystem, basis: TruncatedBasis,
     A_jk a^dag + A_kj a (photon created when the atom drops) is kept.
     Amplitudes that would leave the truncation are dropped.
     """
+    import scipy.sparse as sp
+
     require_valid(system)
     diag, rows, cols, magnitude, transition = _hamiltonian_entries(
         system, basis, rwa)
@@ -536,6 +543,8 @@ def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
     the wrong shape, or whose norm is zero or not finite (so also one with
     a NaN or infinite entry), raises a ValueError.
     """
+    import scipy.linalg
+
     n = H.shape[0]
     if np.shape(v0) != (n,):
         raise ValueError(f"Lanczos start v0 must hold one value per state of "
@@ -583,6 +592,13 @@ def eigsh(H: sp.csr_matrix, v0: np.ndarray) -> Tuple[float, np.ndarray]:
         x += s[j + 1, 0] * q
     x /= np.linalg.norm(x)
     return (alpha[0] if len(alpha) == 1 else float(x @ (H @ x))), x
+
+
+def connected_components(graph, *args, **kwargs):
+    """scipy.sparse.csgraph.connected_components, imported on first call."""
+    from scipy.sparse.csgraph import connected_components as search
+
+    return search(graph, *args, **kwargs)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -665,6 +681,8 @@ class _Blocks:
         if self.sizes[b] <= self.config.dense_threshold:
             return self._dense(np.array([b]), entries,
                                np.zeros(len(entries), dtype=np.int64))[0]
+        import scipy.sparse as sp
+
         r = self.local[self.rows[entries]]
         c = self.local[self.cols[entries]]
         on = np.arange(self.sizes[b])
@@ -689,6 +707,8 @@ class _Blocks:
         overlaps the positive lowest vector of every block whose
         off-diagonal elements are <= 0.
         """
+        import scipy.linalg
+
         config = self.config
         n = len(self.sizes)
         todo = np.ones(n, dtype=bool) if todo is None else todo
@@ -785,6 +805,8 @@ class _Truncation:
 
     def __init__(self, structure: AtomicSystem, basis: TruncatedBasis,
                  rwa: bool):
+        import scipy.sparse as sp
+
         self.basis = basis
         (self.diag, self.rows, self.cols, self.magnitude,
          self.transition) = _hamiltonian_entries(structure, basis, rwa)

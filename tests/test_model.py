@@ -173,11 +173,13 @@ def test_mu_zero_candidate_never_wins(xi):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 3.0), ("n", True), ("atom_count", 2.5), ("atom_count", True),
-    ("atom_count", 2.0), ("atom_count", "2"), ("atom_count", None)])
+    ("n", 3.0), ("n", True), ("n", None), ("n", "3"), ("n", 2.5),
+    ("atom_count", 2.5), ("atom_count", True), ("atom_count", 2.0),
+    ("atom_count", "2"), ("atom_count", None)])
 def test_non_integer_counts_are_violations(xi, field, value):
     # n=3.0, atom_count=2.5 and atom_count=True used to validate clean, and
-    # matter_distribution then failed with a TypeError
+    # matter_distribution then failed with a TypeError; n=None and n="3"
+    # made validate itself raise one, at its level-count rule
     system = dataclasses.replace(xi(), **{field: value})
     assert f"{field} must be an integer, got {value!r}" in validate(
         system).violations

@@ -1,9 +1,13 @@
 import dataclasses
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -167,6 +171,27 @@ class TestBasis:
         basis = build_basis(xi(), 2, 2)
         with pytest.raises(ValueError, match="no ket with photons"):
             basis.index(FockKet(nu=nu, n=n, pairs=pairs))
+
+    @pytest.mark.parametrize("nu, n", [
+        ((0, 0), (0.5, 0.5, 1.0)), ((0.5, 0), (0, 0, 2)),
+        ((0, 0), (True, 0, 1)), ((True, 0), (0, 0, 2)),
+    ], ids=["fractional-atoms", "fractional-photons", "bool-atoms",
+            "bool-photons"])
+    def test_index_rejects_non_integer_occupations(self, xi, nu, n):
+        # the fractional atoms used to give index 0, the index of (0, 0, 2),
+        # and the fractional photons a TypeError from np.ravel_multi_index
+        from polydicke import FockKet
+        basis = build_basis(xi(), 2, 2)
+        with pytest.raises(ValueError, match="must be an integer"):
+            basis.index(FockKet(nu=nu, n=n, pairs=basis.pairs))
+
+    def test_index_accepts_numpy_integer_occupations(self, xi):
+        from polydicke import FockKet
+        basis = build_basis(xi(), 2, 2)
+        ket = basis.ket(7)
+        assert basis.index(FockKet(nu=tuple(np.int64(v) for v in ket.nu),
+                                   n=tuple(np.int32(v) for v in ket.n),
+                                   pairs=ket.pairs)) == 7
 
     @settings(max_examples=40, deadline=None)
     @given(atoms=st.integers(1, 40), levels=st.integers(2, 5))
@@ -853,6 +878,34 @@ class TestComponentSolver:
         assert result.sector_energies == pytest.approx(
             want["sector_energies"], abs=1e-12)
         assert result.nu == pytest.approx(want["nu"], abs=1e-12)
+
+    def test_eigh_wrapped_before_the_first_solve_is_called(self, xi):
+        # scipy loads on the first exact solve; a wrapper installed on
+        # scipy.linalg.eigh before it is still the function the lone dense
+        # blocks go through
+        script = """
+import sys
+from polydicke import cascade_system, ground_state
+assert "scipy" not in sys.modules
+import scipy.linalg
+sizes = []
+solve = scipy.linalg.eigh
+def recording(a, *args, **kwargs):
+    sizes.append(a.shape[0])
+    return solve(a, *args, **kwargs)
+scipy.linalg.eigh = recording
+system = cascade_system([0.0, 1.0, 1.3], [1.0, 0.5], [1.0, 1.0])
+print(repr(ground_state(system, 1, {(1, 2): 4, (2, 3): 6}).energy))
+print(*sorted(sizes))
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        energy, sizes = out.stdout.splitlines()
+        assert sizes == "23 26 27 29"
+        cut = {(1, 2): 4, (2, 3): 6}
+        assert float(energy) == ground_state(xi(1.0, 1.0), 1, cut).energy
 
     def test_tie_among_single_states(self):
         H = sp.csr_matrix(np.diag([2.0, -1.0, 0.5, -1.0]))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -24,7 +25,7 @@ from polydicke import (
     reduced_energy,
     variational_state_params,
 )
-from polydicke import variational
+from polydicke import quantum, variational
 
 from conftest import random_system
 
@@ -443,17 +444,45 @@ class TestNumericOracle:
         with pytest.raises(TypeError, match="rho_cap"):
             minimize_numeric(xi(1.0, 1.0), rho_cap=1e4)
 
-    def test_loads_no_scipy_optimize(self):
-        # the package imports no scipy.optimize, and _scipy_minimize still
-        # resolves to scipy's minimize for code that wraps that name
+    def test_loads_no_scipy_optimize(self, xi, tmp_path):
+        # the closed-form commands load no scipy at all; the first exact
+        # solve does, and _scipy_minimize still resolves to scipy's minimize
+        # for code that wraps that name
         src = Path(__file__).resolve().parent.parent / "src"
-        script = ("import sys, polydicke.cli; "
-                  "from polydicke import variational; "
-                  "assert 'scipy.optimize' not in sys.modules; "
-                  "import scipy.optimize; "
-                  "assert variational._scipy_minimize is scipy.optimize.minimize")
-        subprocess.run([sys.executable, "-c", script], check=True,
-                       env=dict(os.environ, PYTHONPATH=str(src)))
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps(xi().to_dict()))
+        given = ["--system", str(system)]
+        plane = given + ["--axes", "1-2", "--axes", "2-3", "--range", "0:2",
+                         "--res", "20"]
+        commands = [
+            ["validate", *given],
+            ["phase-diagram", *plane, "--out", str(tmp_path / "pd.csv")],
+            ["phase-diagram", *plane, "--rwa",
+             "--out", str(tmp_path / "pd_rwa.csv")],
+            ["observables", *given, "--axes", "1-2", "--range", "0:2",
+             "--out", str(tmp_path / "sweep.csv")],
+            ["observables", *given, "--zeta", "1-2,2-3",
+             "--out", str(tmp_path / "polar.csv")],
+        ]
+        script = f"""
+import sys
+import polydicke, polydicke.cli
+from polydicke import cascade_system, quantum, variational
+for argv in {commands!r}:
+    assert polydicke.cli.main(argv) == 0, argv
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+system = cascade_system([0.0, 1.0, 1.3], [1.0, 0.5], [1.0, 1.0])
+print(repr(quantum.ground_state(system, 1, 4).energy))
+assert "scipy.linalg" in sys.modules
+import scipy.optimize
+assert variational._scipy_minimize is scipy.optimize.minimize
+"""
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        want = quantum.ground_state(xi(1.0, 1.0), 1, 4).energy
+        assert float(out.stdout.splitlines()[-1]) == want
 
     def test_no_stopped_start_raises(self, xi, monkeypatch):
         monkeypatch.setattr(variational, "_SIMPLEX_ITERATIONS", 1)
