@@ -11,14 +11,13 @@ import numpy as np
 
 from polydicke import (
     cascade_system,
-    charge_of_state,
+    charges,
     excitation_weights,
     ground_state,
     minimize,
     normal_boundary,
     scan_grid,
     suggest_cutoffs,
-    SymmetryCharges,
 )
 
 SYSTEM = cascade_system([0.0, 1.0, 1.7, 2.0], [1.0, 0.7, 0.3], [1.0, 1.0, 1.0])
@@ -45,12 +44,9 @@ def grid():
 
 def symmetries():
     print("=== conserved charges of the chain ===")
-    weights = excitation_weights(SYSTEM)
-    print(f"excitation weights per level: {weights.lam}")
-    charges = SymmetryCharges.from_system(SYSTEM)
-    from polydicke import FockKet
-    ket = FockKet(nu=(1, 0, 2), n=(0, 1, 0, 0), pairs=SYSTEM.pairs)
-    K = charge_of_state(charges, ket)
+    print(f"excitation weights per level: {excitation_weights(SYSTEM)}")
+    # one photon in mode 1-2, two in mode 3-4, the atom on level 2
+    K = charges(SYSTEM.pairs, (1, 0, 2), (0, 1, 0, 0))
     print(f"sample ket charges K = {[int(v) for v in K]}, "
           f"sum = {int(K.sum())} (atom number)\n")
 

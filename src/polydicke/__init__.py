@@ -36,9 +36,7 @@ from .variational import (
     variational_state_params,
 )
 from .phasemap import (
-    BoundarySweep,
     PhaseGrid,
-    RegionLabel,
     SeparatrixCurve,
     collective_boundary,
     ehrenfest_probe,
@@ -55,10 +53,8 @@ from .observables import (
     universal_relation_residual,
 )
 from .symmetries import (
-    ExcitationWeights,
-    SymmetryCharges,
     WeightError,
-    charge_of_state,
+    charges,
     excitation_weights,
     rwa_rescale,
 )

@@ -121,18 +121,26 @@ class AtomicSystem:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AtomicSystem":
-        transitions = tuple(
-            Transition(
-                j=int(t["j"]), k=int(t["k"]),
-                Omega=float(t["Omega"]), mu=float(t.get("mu", 0.0)),
-            )
-            for t in data.get("transitions", ())
-        )
+        """System from its :meth:`to_dict` mapping, as a system file holds it.
+
+        Counts and level indices are taken as given, for :func:`validate`
+        to judge.  A level energy, Omega or mu that is not a real number
+        (say a bool or a string) raises a ValueError naming it, since the
+        constructor would turn a level energy into a float.
+        """
+        transitions = []
+        for t in data.get("transitions", ()):
+            j, k = t["j"], t["k"]
+            tag = f"transition ({j},{k})"
+            transitions.append(Transition(
+                j=j, k=k, Omega=_real(f"{tag}: Omega", t["Omega"]),
+                mu=_real(f"{tag}: mu", t.get("mu", 0.0))))
         return cls(
-            n=int(data["n"]),
-            omega=tuple(float(w) for w in data["omega"]),
-            transitions=transitions,
-            atom_count=int(data.get("atom_count", 1)),
+            n=data["n"],
+            omega=tuple(_real(f"level {i + 1} energy", w)
+                        for i, w in enumerate(data["omega"])),
+            transitions=tuple(transitions),
+            atom_count=data.get("atom_count", 1),
         )
 
 
@@ -140,8 +148,10 @@ def validate(system: AtomicSystem) -> ValidationReport:
     """Report every violated structural rule; empty violations means valid.
 
     Idempotent and side-effect-free.  n and atom_count must be integers
-    by the rule of :func:`require_integer`.  Exceeding the lmax mode count
-    is reported as a notice, not a violation.
+    by the rule of :func:`require_integer`, and so must a transition's
+    level indices; its Omega and mu must be real numbers, bools excluded.
+    A transition that breaks one of these is checked no further.  Exceeding
+    the lmax mode count is reported as a notice, not a violation.
     """
     bad = [f"{name} must be an integer, got {value!r}"
            for name, value in (("n", system.n),
@@ -172,6 +182,16 @@ def validate(system: AtomicSystem) -> ValidationReport:
     seen = set()
     for t in system.transitions:
         tag = f"transition ({t.j},{t.k})"
+        # every later rule of a transition reads these as numbers
+        wrong = ([f"{tag}: level index {name} must be an integer, got "
+                  f"{value!r}" for name, value in (("j", t.j), ("k", t.k))
+                  if not _is_integer(value)]
+                 + [f"{tag}: {name} must be a real number, got {value!r}"
+                    for name, value in (("Omega", t.Omega), ("mu", t.mu))
+                    if not _is_real(value)])
+        if wrong:
+            bad.extend(wrong)
+            continue
         if not (1 <= t.j < t.k <= system.n):
             bad.append(f"{tag}: level indices must satisfy 1 <= j < k <= n")
             continue
@@ -220,6 +240,20 @@ def _is_integer(value) -> bool:
     """Whether value is a Python or NumPy integer, bools excluded."""
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, bool))
+
+
+def _is_real(value) -> bool:
+    """Whether value is an integer (see :func:`_is_integer`) or a Python or
+    NumPy float."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
+def _real(name: str, value) -> float:
+    """A system file's real number called name, as a float; a ValueError
+    for anything else (see :func:`_is_real`)."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def require_integer(name: str, value) -> int:

@@ -28,32 +28,6 @@ from .model import AtomicSystem, Pair, require_valid
 from .symmetries import rwa_rescale
 from . import observables, variational
 
-@dataclass(frozen=True)
-class RegionLabel:
-    """Phase-region tag: the normal region or one collective region S(j,k)."""
-
-    pair: Optional[Pair] = None
-
-    def __str__(self) -> str:
-        return variational.region_tag(self.pair)
-
-    @classmethod
-    def parse(cls, tag: str) -> "RegionLabel":
-        if tag == "N":
-            return cls(None)
-        try:
-            prefix, j, k = tag.split("_")
-            if prefix != "S":
-                raise ValueError
-            return cls((int(j), int(k)))
-        except ValueError:
-            raise ValueError(f"not a region tag: {tag!r}") from None
-
-    @property
-    def is_normal(self) -> bool:
-        return self.pair is None
-
-
 def normal_boundary(system: AtomicSystem, pair: Pair) -> float:
     """Critical coupling where region S(pair) first touches the normal one.
 
@@ -96,14 +70,6 @@ def _zeta_boundary(system: AtomicSystem, pair_solve: Pair, pair_other: Pair,
 
 
 @dataclass(frozen=True)
-class BoundarySweep:
-    """Which coupling to solve for and where the other one is sampled."""
-
-    fixed_values: Tuple[float, ...]
-    solve_range: Tuple[float, float]
-
-
-@dataclass(frozen=True)
 class SeparatrixCurve:
     """Sampled boundary curve between two regions in a coupling plane."""
 
@@ -134,8 +100,10 @@ class SeparatrixCurve:
 
 
 def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
-                        sweep: BoundarySweep) -> SeparatrixCurve:
-    """Locus of equal condensate energies E_a(mu_a) = E_b(mu_b).
+                        fixed_values: Sequence[float],
+                        solve_range: Tuple[float, float]) -> SeparatrixCurve:
+    """Locus of equal condensate energies E_a(mu_a) = E_b(mu_b), solved for
+    mu_a at each sampled mu_b in fixed_values, within (lo, hi) = solve_range.
 
     Where condensate a exists its energy omega_j - (4 mu^2 - B)^2/(16 Omega
     mu^2) falls strictly with mu, so for each sampled mu_b the equation has
@@ -149,11 +117,9 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
     pair_a, pair_b = tuple(pair_a), tuple(pair_b)
     if pair_a == pair_b:
         raise ValueError("identical regions")
-    label_a = str(RegionLabel(pair_a))
-    label_b = str(RegionLabel(pair_b))
-    lo, hi = sweep.solve_range
+    lo, hi = solve_range
     t = system.transition(pair_a)
-    fixed = np.asarray(sweep.fixed_values, dtype=float)
+    fixed = np.asarray(fixed_values, dtype=float)
     target = variational.condensate(system, pair_b, fixed).energy
     b = (system.omega[t.k - 1] - system.omega[t.j - 1]) * t.Omega
     # an absent condensate b has energy +inf and one above omega_j has no
@@ -173,25 +139,24 @@ def collective_boundary(system: AtomicSystem, pair_a: Pair, pair_b: Pair,
     worst_zeta = float(gap.max()) if gap.size else None
     message = "" if points else "no root: regions do not touch in the sweep range"
     return SeparatrixCurve(
-        kind="collective-collective", label_a=label_a, label_b=label_b,
-        order=1, solve_pair=pair_a, fixed_pair=pair_b,
-        points=points, zeta_max_discrepancy=worst_zeta, message=message,
+        kind="collective-collective", label_a=variational.region_tag(pair_a),
+        label_b=variational.region_tag(pair_b), order=1, solve_pair=pair_a,
+        fixed_pair=pair_b, points=points, zeta_max_discrepancy=worst_zeta,
+        message=message,
     )
 
 
-def transition_order(label_a: Union[RegionLabel, str],
-                     label_b: Union[RegionLabel, str]) -> int:
+def transition_order(label_a: str, label_b: str) -> int:
     """Order of the phase transition across the boundary of two regions.
 
     Second order (bifurcation) between the normal region and a ground-level
     condensate S(1,k); first order (Maxwell set) for every other boundary.
     """
-    a = RegionLabel.parse(label_a) if isinstance(label_a, str) else label_a
-    b = RegionLabel.parse(label_b) if isinstance(label_b, str) else label_b
+    a, b = variational.region_pair(label_a), variational.region_pair(label_b)
     if a == b:
         raise ValueError("identical labels have no transition")
-    if a.is_normal or b.is_normal:
-        pair = b.pair if a.is_normal else a.pair
+    if a is None or b is None:
+        pair = b if a is None else a
         return 2 if pair[0] == 1 else 1
     return 1
 
@@ -220,10 +185,11 @@ def plane_boundaries(system: AtomicSystem,
         ma, mb = normal[pa], normal[pb]
 
         def segment(pair: Pair, points) -> SeparatrixCurve:
-            label = str(RegionLabel(pair))
+            label_a = variational.region_tag(None)
+            label_b = variational.region_tag(pair)
             return SeparatrixCurve(
-                kind="normal-collective", label_a="N", label_b=label,
-                order=transition_order("N", label), solve_pair=pa,
+                kind="normal-collective", label_a=label_a, label_b=label_b,
+                order=transition_order(label_a, label_b), solve_pair=pa,
                 fixed_pair=pb, points=points)
 
         if alo <= ma <= ahi and blo < mb:
@@ -232,9 +198,8 @@ def plane_boundaries(system: AtomicSystem,
             curves.append(segment(pb, ((alo, mb), (min(ahi, ma), mb))))
         if mb < bhi:
             fixed = np.linspace(max(blo, mb), bhi, max(resolution, 16))[1:]
-            curve = collective_boundary(system, pa, pb, BoundarySweep(
-                fixed_values=tuple(scale * fixed),
-                solve_range=(scale * alo, scale * ahi)))
+            curve = collective_boundary(system, pa, pb, scale * fixed,
+                                        (scale * alo, scale * ahi))
             if curve.points:
                 curves.append(replace(curve, points=tuple(
                     (a / scale, b / scale) for a, b in curve.points)))
@@ -384,7 +349,7 @@ def scan_grid(system: AtomicSystem,
     mesh = np.meshgrid(*(scale * np.array(v) for v in values), indexing="ij")
     mu = {base.transition(p).pair: m for p, m in zip(pairs, mesh)}
     best, energies = variational.minimize_array(base, mu, res)
-    tags = np.array(["N"] + [str(RegionLabel(p)) for p in base.pairs],
+    tags = np.array([variational.region_tag(p) for p in (None,) + base.pairs],
                     dtype=object)
     return PhaseGrid(axes=tuple(pairs), axis_values=values, labels=tags[best],
                      energies=energies)

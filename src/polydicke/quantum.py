@@ -52,6 +52,12 @@ and the model keeps them, read-only, for the last two truncations solved;
 a new coupling only scales the magnitudes into values, bounds the blocks
 and solves them.
 
+Besides the table of compositions, the solve reads the basis only at the
+indices it needs, through `TruncatedBasis.occupations`: the photon grid
+for the diagonal, each block's lowest index for its level charges
+(`symmetries.charges`) and so its sector, and the winning block's states
+for the observables.  No table of one row per basis state is kept.
+
 `build_hamiltonian`, `split_sectors` and `SymmetrySector` are reference
 views of the same operator and partition that the solve never calls; the
 tests check the solve against them.
@@ -82,7 +88,7 @@ import numpy as np
 
 from .model import (AtomicSystem, Pair, require_count, require_integer,
                     require_valid)
-from .symmetries import WeightError, excitation_weights
+from .symmetries import WeightError, charges, excitation_weights
 from .variational import candidates as _variational_candidates
 
 DEFAULT_BASIS_BUDGET = 2_000_000
@@ -115,9 +121,6 @@ class FockKet:
     nu: Tuple[int, ...]
     n: Tuple[int, ...]
     pairs: Tuple[Pair, ...]
-
-    def nu_by_pair(self) -> Dict[Pair, int]:
-        return dict(zip(self.pairs, self.nu))
 
 
 def _rank(occ, atom_count: int) -> np.ndarray:
@@ -212,22 +215,17 @@ class TruncatedBasis:
         if not 0 <= require_integer("basis index", index) < self.size:
             raise ValueError(f"basis index {index} outside a basis of "
                              f"{self.size} kets")
-        *nu, a = np.unravel_index(index, self.mode_dims + (self.atomic_dim,))
-        return FockKet(nu=tuple(map(int, nu)),
-                       n=tuple(self.atomic_kets[a].tolist()), pairs=self.pairs)
+        nu, n = self.occupations(index)
+        return FockKet(nu=tuple(nu.tolist()), n=tuple(n.tolist()),
+                       pairs=self.pairs)
 
-    @functools.cached_property
-    def nu_columns(self) -> np.ndarray:
-        """(size, n_modes) photon occupation of every basis index."""
-        nu = np.unravel_index(np.arange(self.size),
-                              self.mode_dims + (self.atomic_dim,))[:-1]
-        cols = np.array(nu, dtype=np.int64).reshape(len(nu), self.size).T
-        _read_only(cols)
-        return cols
-
-    def occupation_columns(self) -> np.ndarray:
-        """(size, n_levels) atomic occupation of every basis index."""
-        return np.tile(self.atomic_kets, (self.size // self.atomic_dim, 1))
+    def occupations(self, indices) -> Tuple[np.ndarray, np.ndarray]:
+        """(photons, atoms) at the basis indices, elementwise over their
+        shape: photons per mode on the last axis of one, atoms per level on
+        the last axis of the other.  The indices must lie in the basis."""
+        grid = np.stack(np.unravel_index(
+            indices, self.mode_dims + (self.atomic_dim,)), axis=-1)
+        return grid[..., :-1], self.atomic_kets[grid[..., -1]]
 
 
 def _cutoff(pair: Pair, value) -> int:
@@ -287,7 +285,7 @@ def _hamiltonian_entries(system: AtomicSystem, basis: TruncatedBasis,
     """
     A = basis.atomic_dim
     occ = basis.atomic_kets
-    photons = basis.nu_columns[::A]
+    photons = basis.occupations(np.arange(0, basis.size, A))[0]
     photon_energy = np.zeros(len(photons))
     for m, p in enumerate(basis.pairs):
         photon_energy += system.transition(p).Omega * photons[:, m]
@@ -380,16 +378,6 @@ class SymmetrySector:
     indices: np.ndarray
 
 
-def _charges(basis: TruncatedBasis) -> np.ndarray:
-    """(size, n_levels) charge vector K of every basis index."""
-    nu_cols = basis.nu_columns
-    K = basis.occupation_columns()
-    for m, (j, k) in enumerate(basis.pairs):
-        K[:, k - 1] += nu_cols[:, m]
-        K[:, j - 1] -= nu_cols[:, m]
-    return K
-
-
 def _parity_sectors(system: AtomicSystem, K: np.ndarray,
                     ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     """Parity class of every row of charge vectors K, and the class names.
@@ -407,7 +395,7 @@ def _parity_sectors(system: AtomicSystem, K: np.ndarray,
                                  return_inverse=True)
     names = parity[first]
     try:
-        lam = np.array(excitation_weights(system).lam, dtype=np.int64)
+        lam = np.array(excitation_weights(system), dtype=np.int64)
         short = 2 * np.mod(K @ lam, 2) + parity[:, -1]
         # adopt the two-letter naming only if it separates the full classes:
         # no two-letter key may occur together with two full keys
@@ -429,7 +417,8 @@ def split_sectors(system: AtomicSystem,
     `_parity_sectors` and never calls this.
     """
     require_valid(system)
-    sector, parity, labels = _parity_sectors(system, _charges(basis))
+    K = charges(basis.pairs, *basis.occupations(np.arange(basis.size)))
+    sector, parity, labels = _parity_sectors(system, K)
     order = np.argsort(sector, kind="stable")
     bounds = np.cumsum(np.bincount(sector))[:-1]
     sectors = [
@@ -817,8 +806,8 @@ class _Truncation:
         self.layout = _Layout(block, n_blocks, self.rows)
         starts = self.layout.starts
         self.first = self.layout.order[starts]
-        self.sector, _, labels = _parity_sectors(structure,
-                                                 _charges(basis)[self.first])
+        self.sector, _, labels = _parity_sectors(
+            structure, charges(basis.pairs, *basis.occupations(self.first)))
         self.labels = tuple(labels)
         on_blocks = self.diag[self.layout.order]
         self.least_diag = np.minimum.reduceat(on_blocks, starts)
@@ -925,8 +914,7 @@ def ground_state(system: AtomicSystem, atom_count: int,
 
     weights = vec * vec
     weights = weights / weights.sum()
-    nu_cols = basis.nu_columns[indices]
-    occ = basis.atomic_kets[indices % basis.atomic_dim]
+    nu_cols, occ = basis.occupations(indices)
     nu = {
         p: float(weights @ nu_cols[:, m]) / atom_count
         for m, p in enumerate(basis.pairs)

@@ -6,13 +6,12 @@ full-model closed forms solve the rotating-wave problem after mu -> mu/2.
 The rotating-wave Hamiltonian additionally conserves one charge per level,
 K_j = A_jj + sum_{k<j} nu_kj - sum_{j<k} nu_jk; the parities exp(i pi K_j)
 remain symmetries of the full Hamiltonian and generate the sector split used
-by exact diagonalization.
+by exact diagonalization.  `charges` is the one array form of K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -32,24 +31,15 @@ def rwa_rescale(system: AtomicSystem) -> AtomicSystem:
     return system.with_couplings({t.pair: t.mu / 2.0 for t in system.transitions})
 
 
-@dataclass(frozen=True)
-class ExcitationWeights:
-    """Excitations needed to lift one atom from level 1 to each level.
+def excitation_weights(system: AtomicSystem) -> Tuple[int, ...]:
+    """Excitations lam needed to lift one atom from level 1 to each level.
 
     lam[0] = 0 for level 1; consistency requires lam_k = lam_j + 1 across
     every transition (j,k), which fixes the weights on any connected,
-    loop-compatible configuration.
-    """
-
-    lam: Tuple[int, ...]
-
-
-def excitation_weights(system: AtomicSystem) -> ExcitationWeights:
-    """Propagate lam_1 = 0 through the transition graph.
-
-    Traversing a transition (j,k) upward adds one excitation; multiple paths
-    must agree.  Raises WeightError with "inconsistent weights" on a loop
-    mismatch and reports levels unreachable from level 1.
+    loop-compatible configuration.  They are propagated from level 1
+    through the transition graph, and multiple paths must agree.  Raises
+    WeightError with "inconsistent weights" on a loop mismatch and reports
+    levels unreachable from level 1.
     """
     require_valid(system)
     lam: Dict[int, int] = {1: 0}
@@ -77,37 +67,22 @@ def excitation_weights(system: AtomicSystem) -> ExcitationWeights:
         raise WeightError(
             f"levels {missing} not connected to level 1 by any transition"
         )
-    return ExcitationWeights(lam=tuple(lam[lv] for lv in range(1, system.n + 1)))
+    return tuple(lam[lv] for lv in range(1, system.n + 1))
 
 
-@dataclass(frozen=True)
-class SymmetryCharges:
-    """Integer linear forms K_j over occupation numbers, one per level.
+def charges(pairs: Sequence[Pair], nu, occupations) -> np.ndarray:
+    """Level charges K_j = n_j + sum_{i<j} nu_ij - sum_{j<k} nu_jk,
+    elementwise over leading axes.
 
-    On any occupation basis state all K_j are diagonal; their values sum to
-    the atom number, and their parities label the symmetry sectors of the
-    full Hamiltonian.
+    nu holds photons per mode in the order of pairs on its last axis, and
+    occupations atoms per level on its last axis; the result has the shape
+    of occupations.  On any occupation basis state all K_j are diagonal;
+    their values sum to the atom number, and their parities label the
+    symmetry sectors of the full Hamiltonian.
     """
-
-    n: int
-    pairs: Tuple[Pair, ...]
-
-    @classmethod
-    def from_system(cls, system: AtomicSystem) -> "SymmetryCharges":
-        require_valid(system)
-        return cls(n=system.n, pairs=system.pairs)
-
-    def of_occupations(self, nu: Mapping[Pair, int],
-                       occupations: Tuple[int, ...]) -> np.ndarray:
-        """Charge vector (K_1..K_n) for given photon and level occupations."""
-        K = np.array(occupations, dtype=int)
-        for (j, k) in self.pairs:
-            v = int(nu[(j, k)])
-            K[k - 1] += v
-            K[j - 1] -= v
-        return K
-
-
-def charge_of_state(charges: SymmetryCharges, state) -> np.ndarray:
-    """Charge vector of a Fock ket (anything exposing nu_by_pair() and n)."""
-    return charges.of_occupations(state.nu_by_pair(), state.n)
+    K = np.array(occupations, dtype=np.int64)
+    nu = np.asarray(nu)
+    for m, (j, k) in enumerate(pairs):
+        K[..., k - 1] += nu[..., m]
+        K[..., j - 1] -= nu[..., m]
+    return K

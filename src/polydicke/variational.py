@@ -40,6 +40,20 @@ def region_tag(pair: Optional[Pair]) -> str:
     return "N" if pair is None else f"S_{pair[0]}_{pair[1]}"
 
 
+def region_pair(tag: str) -> Optional[Pair]:
+    """Inverse of :func:`region_tag`: None for 'N', (j, k) for 'S_j_k';
+    a ValueError for anything else."""
+    if tag == "N":
+        return None
+    try:
+        prefix, j, k = tag.split("_")
+        if prefix != "S":
+            raise ValueError
+        return (int(j), int(k))
+    except ValueError:
+        raise ValueError(f"not a region tag: {tag!r}") from None
+
+
 @dataclass(frozen=True)
 class FieldAmplitudes:
     """Per-transition field radius (per particle) and phase, keyed by (j,k)."""

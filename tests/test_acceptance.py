@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from polydicke import (
-    BoundarySweep,
-    SymmetryCharges,
     build_basis,
     build_hamiltonian,
     cascade_system,
+    charges,
     collective_boundary,
     converge_cutoff,
     delta_nu,
@@ -131,11 +130,8 @@ def test_criterion_03_transition_orders_by_probe():
 
         def crossing_for(system, solve_pair, fixed_pair, fixed_value,
                          solve_range):
-            curve = collective_boundary(
-                system, solve_pair, fixed_pair,
-                BoundarySweep(fixed_values=(fixed_value,),
-                              solve_range=solve_range),
-            )
+            curve = collective_boundary(system, solve_pair, fixed_pair,
+                                        (fixed_value,), solve_range)
             return curve.points[0][0]
 
         checks = 0
@@ -288,9 +284,8 @@ def test_criterion_07_sector_structure_and_rwa_charges():
             if v != 0.0:
                 assert owner[r] == owner[c], f"element {r},{c} crosses sectors"
 
-        charges = SymmetryCharges.from_system(system)
         K = np.array([
-            charges.of_occupations(basis.ket(i).nu_by_pair(), basis.ket(i).n)
+            charges(system.pairs, basis.ket(i).nu, basis.ket(i).n)
             for i in range(basis.size)
         ])
         H_rwa = build_hamiltonian(system, basis, rwa=True).tocoo()
@@ -342,10 +337,8 @@ def test_criterion_09_photon_imbalance_structure():
         assert delta_nu(normal, (1, 2), (2, 3)) is None
 
         # the zero crossing tracks the variational Maxwell separatrix
-        curve = collective_boundary(
-            _xi(1.0, 1.0), (2, 3), (1, 2),
-            BoundarySweep(fixed_values=(1.0,), solve_range=(0.76, 2.0)),
-        )
+        curve = collective_boundary(_xi(1.0, 1.0), (2, 3), (1, 2), (1.0,),
+                                    (0.76, 2.0))
         separatrix_mu23 = curve.points[0][0]
         lo, hi = 0.80, 1.05
         cut = {(1, 2): 30, (2, 3): 45}

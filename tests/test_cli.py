@@ -162,6 +162,32 @@ class TestValidate:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", "--system", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("top, first, message", [
+        ({"n": "3"}, {}, "violation: n must be an integer, got '3'"),
+        ({"n": 2.5}, {}, "violation: n must be an integer, got 2.5"),
+        ({"atom_count": True}, {"j": 1.9},
+         "violation: transition (1.9,2): level index j must be an integer"),
+        ({"atom_count": True}, {},
+         "violation: atom_count must be an integer, got True"),
+        ({}, {"Omega": "1.0", "mu": True},
+         "malformed: transition (1,2): Omega must be a real number"),
+        ({}, {"mu": True}, "malformed: transition (1,2): mu must be a real "
+                           "number, got True"),
+        ({"omega": [0.0, "1.0", 1.3]}, {},
+         "malformed: level 2 energy must be a real number, got '1.0'"),
+    ])
+    def test_field_types_follow_the_library(self, system_file, capsys, top,
+                                            first, message):
+        # each of these printed "system is valid" (only "n": 2.5 did not:
+        # it read as n=2 and was refused for omega's 3 entries)
+        data = json.loads(json.dumps(CASCADE))
+        data.update(top)
+        data["transitions"][0].update(first)
+        assert main(["validate", "--system", system_file(data)]) == 1
+        out, err = capsys.readouterr()
+        assert "valid" not in out
+        assert message in err
+
 
 class TestPhaseDiagram:
     def test_grid_and_sidecar(self, system_file, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -157,6 +158,13 @@ def test_system_is_immutable(xi):
 def test_dict_roundtrip(xi):
     system = xi(mu12=0.7, mu23=0.3, atom_count=2)
     assert AtomicSystem.from_dict(system.to_dict()) == system
+    # integer level energies, Omega and mu are read as floats, so that the
+    # system a file holds prints the same whichever way they were written
+    data = system.to_dict()
+    data["omega"][1] = 1
+    data["transitions"][0].update(Omega=1, mu=2)
+    assert json.dumps(AtomicSystem.from_dict(data).to_dict()) == json.dumps(
+        system.with_couplings({(1, 2): 2.0}).to_dict())
 
 
 def test_mu_zero_candidate_never_wins(xi):
@@ -191,3 +199,69 @@ def test_non_integer_counts_are_violations(xi, field, value):
 def test_numpy_integer_counts_are_valid(xi):
     assert validate(dataclasses.replace(xi(), n=np.int64(3),
                                         atom_count=np.int32(4))).ok
+
+
+def _xi_dict(**fields):
+    """The xi system's to_dict mapping, with top-level fields and fields of
+    its first transition (keys prefixed "t.") replaced."""
+    data = AtomicSystem(n=3, omega=(0.0, 1.0, 1.3),
+                        transitions=(Transition(1, 2, 1.0, 1.0),
+                                     Transition(2, 3, 0.5, 1.0))).to_dict()
+    for key, value in fields.items():
+        if key.startswith("t."):
+            data["transitions"][0][key[2:]] = value
+        else:
+            data[key] = value
+    return data
+
+
+@pytest.mark.parametrize("fields, violation", [
+    ({"n": "3"}, "n must be an integer, got '3'"),
+    ({"n": 2.5}, "n must be an integer, got 2.5"),
+    ({"atom_count": True}, "atom_count must be an integer, got True"),
+    ({"t.j": 1.9}, "transition (1.9,2): level index j must be an integer, "
+                   "got 1.9"),
+    ({"t.k": "2"}, "transition (1,2): level index k must be an integer, "
+                   "got '2'"),
+])
+def test_system_files_keep_counts_and_indices_for_validate(fields, violation):
+    # from_dict used to cast these with int(), so that "n": "3" and
+    # "atom_count": true validated clean, "n": 2.5 became 2 levels and
+    # "j": 1.9 became level 1
+    assert violation in validate(AtomicSystem.from_dict(
+        _xi_dict(**fields))).violations
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"t.Omega": "1.0"}, "transition (1,2): Omega must be a real number, "
+                         "got '1.0'"),
+    ({"t.mu": True}, "transition (1,2): mu must be a real number, got True"),
+    ({"omega": [0.0, "1.0", 1.3]}, "level 2 energy must be a real number, "
+                                   "got '1.0'"),
+    ({"omega": [0.0, True, 1.3]}, "level 2 energy must be a real number, "
+                                  "got True"),
+])
+def test_system_files_refuse_non_real_numbers(fields, message):
+    # from_dict used to cast these with float(), which reads True as 1.0
+    with pytest.raises(ValueError) as err:
+        AtomicSystem.from_dict(_xi_dict(**fields))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("transition, violation", [
+    (Transition(True, 2, 1.0, 1.0),
+     "transition (True,2): level index j must be an integer, got True"),
+    (Transition(1.5, 2, 1.0, 1.0),
+     "transition (1.5,2): level index j must be an integer, got 1.5"),
+    (Transition(1, 2, "1.0", 1.0),
+     "transition (1,2): Omega must be a real number, got '1.0'"),
+    (Transition(1, 2, 1.0, True),
+     "transition (1,2): mu must be a real number, got True"),
+])
+def test_transition_field_types_are_violations(transition, violation):
+    # the first validated clean; the other three made validate raise a
+    # TypeError, at the level-index rule or the comparisons after it
+    system = AtomicSystem(n=2, omega=(0.0, 1.0), transitions=(transition,))
+    assert validate(system).violations == (violation,)
+    with pytest.raises(InvalidSystemError, match="must be"):
+        require_valid(system)

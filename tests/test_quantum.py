@@ -23,11 +23,11 @@ from polydicke import (
     AtomicSystem,
     BudgetError,
     SolverConfig,
-    SymmetryCharges,
     Transition,
     build_basis,
     build_hamiltonian,
     cascade_system,
+    charges,
     converge_cutoff,
     delta_nu,
     ground_state,
@@ -228,9 +228,13 @@ class TestBasis:
         cutoffs = {p: data.draw(st.integers(0, 3), label=f"cutoff {p}")
                    for p in system.pairs}
         basis = build_basis(system, atoms, cutoffs)
-        for i in data.draw(st.lists(st.integers(0, basis.size - 1),
-                                    min_size=1, max_size=20), label="i"):
+        drawn = data.draw(st.lists(st.integers(0, basis.size - 1),
+                                   min_size=1, max_size=20), label="i")
+        photons, levels = basis.occupations(drawn)
+        for i, nu, n in zip(drawn, photons.tolist(), levels.tolist()):
             assert basis.index(basis.ket(i)) == i
+            assert (tuple(nu), tuple(n)) == (basis.ket(i).nu, basis.ket(i).n)
+            assert [a.tolist() for a in basis.occupations([i])] == [[nu], [n]]
 
     def test_large_atom_count_without_photons(self, xi):
         # 180,901 compositions: the table and the hop ranks are array work
@@ -313,9 +317,8 @@ class TestSectors:
     def test_rwa_preserves_charges_exactly(self, xi):
         system = xi(1.0, 1.0)
         basis = build_basis(system, 1, 2)
-        charges = SymmetryCharges.from_system(system)
         K = np.array([
-            charges.of_occupations(basis.ket(i).nu_by_pair(), basis.ket(i).n)
+            charges(system.pairs, basis.ket(i).nu, basis.ket(i).n)
             for i in range(basis.size)
         ])
         H = build_hamiltonian(system, basis, rwa=True).tocoo()
@@ -701,19 +704,15 @@ class TestAtomNumberTrend:
 
 def _split_sectors_reference(system, basis):
     """The row-by-row dict grouping that split_sectors replaced."""
-    nu_cols = basis.nu_columns
-    occ = basis.occupation_columns()
-    K = occ.copy()
-    for m, (j, k) in enumerate(basis.pairs):
-        K[:, k - 1] += nu_cols[:, m]
-        K[:, j - 1] -= nu_cols[:, m]
+    K = np.array([charges(basis.pairs, basis.ket(i).nu, basis.ket(i).n)
+                  for i in range(basis.size)])
     parity = np.mod(K, 2)
 
     letters = {0: "e", 1: "o"}
     named = None
     try:
         weights = excitation_weights(system)
-        lam = np.array(weights.lam, dtype=np.int64)
+        lam = np.array(weights, dtype=np.int64)
         M = K @ lam
         short = np.stack([np.mod(M, 2), parity[:, -1]], axis=1)
         full_keys = [tuple(row) for row in parity]
@@ -1327,7 +1326,7 @@ def _component_route(system, atoms, cutoffs, config, rwa):
     _, energy, vec, indices = next(item for item in found
                                    if item[0] == degenerate[0])
     weights = vec * vec / (vec @ vec)
-    nu_cols = basis.nu_columns[indices]
+    nu_cols, occ = basis.occupations(indices)
     at_boundary = (nu_cols == np.array(basis.cutoffs)).any(axis=1)
     return {
         "energy": energy / atoms,
@@ -1336,8 +1335,7 @@ def _component_route(system, atoms, cutoffs, config, rwa):
         "degenerate_sectors": tuple(degenerate),
         "nu": {p: float(weights @ nu_cols[:, m]) / atoms
                for m, p in enumerate(basis.pairs)},
-        "populations": tuple(
-            weights @ basis.occupation_columns()[indices] / atoms),
+        "populations": tuple(weights @ occ / atoms),
         "boundary_weight": float(weights[at_boundary].sum()),
     }
 
@@ -1375,7 +1373,7 @@ class TestChargeBlocks:
         system, zero = drawn
         system = _with_zeros(system, zero)
         basis = build_basis(system, atoms, min(cut, self.CAP[system.n]))
-        K = quantum._charges(basis)
+        K = charges(basis.pairs, *basis.occupations(np.arange(basis.size)))
         H = build_hamiltonian(system, basis, rwa=True).tocoo()
         nonzero = H.data != 0.0
         assert np.array_equal(K[H.row[nonzero]], K[H.col[nonzero]])
@@ -1472,7 +1470,8 @@ class TestChargeBlocks:
         system = xi(0.0, 0.8, atom_count=2)
         ground_state(system, 2, 4, rwa=True)
         blocks, = block_solves
-        nu12 = build_basis(system, 2, 4).nu_columns[:, 0]
+        basis = build_basis(system, 2, 4)
+        nu12 = basis.occupations(np.arange(basis.size))[0][:, 0]
         for b in range(len(blocks.sizes)):
             assert len(set(nu12[blocks.members(b)])) == 1
         assert blocks.sizes.max() > 1
@@ -1604,8 +1603,7 @@ class TestTruncationCache:
         arrays = [value for owner in (truncation, layout)
                   for value in vars(owner).values()
                   if isinstance(value, np.ndarray)]
-        arrays.append(truncation.basis.nu_columns)
-        assert len(arrays) == 15
+        assert len(arrays) == 14
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
